@@ -13,8 +13,10 @@
 #   --bench     run the full deepum_suite grid (serial + parallel with
 #               byte-identity asserted, gated against
 #               ci/bench-baseline.json for per-cell hash drift and
-#               >25% wall-clock regressions) emitting BENCH_suite.json,
-#               then deepum_mtbench emitting BENCH_multitenant.json
+#               >25% wall-clock regressions) emitting BENCH_suite.json
+#               and re-rendering the paper tables and pinned shape
+#               checks into EXPERIMENTS.md, which must come out
+#               byte-identical to the committed file; then deepum_mtbench emitting BENCH_multitenant.json
 #               (simulated-kernels/sec and wall-clock, solo vs 2/4/8
 #               tenants) plus BENCH_serving.json (requests/sec and
 #               simulated-kernels/sec at 1/2/4 endpoints) in the
@@ -88,6 +90,8 @@ if [ "$BENCH" -eq 1 ]; then
   echo "== suite bench =="
   cargo run -q --locked --release -p deepum-bench --bin deepum_suite -- \
     --baseline ci/bench-baseline.json --out BENCH_suite.json
+  echo "== paper tables unchanged =="
+  git diff --exit-code -- EXPERIMENTS.md
   echo "== multi-tenant bench =="
   cargo run -q --locked --release -p deepum-bench --bin deepum_mtbench
   echo "== inference-serving bench =="

@@ -71,7 +71,7 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "schema-version-discipline",
         phase: "workspace",
-        summary: "every *_VERSION/*_MAGIC const in the snapshot, recovery, and bench-cache codecs must be referenced by a test",
+        summary: "every *_VERSION/*_MAGIC const in the snapshot and recovery codecs must be referenced by a test",
     },
     Lint {
         id: "event-vocabulary-coverage",

@@ -1,5 +1,6 @@
-//! Suite bench: the `run_suite.sh` grid, serial vs rayon-parallel, with
-//! an asserted byte-identity contract and a ratcheted perf baseline.
+//! Suite bench and paper renderer: the evaluation grid, serial vs
+//! rayon-parallel, with an asserted byte-identity contract, a ratcheted
+//! perf baseline, and every paper table rendered from the serial pass.
 //!
 //! Runs every suite cell (see `deepum_bench::suite`) once on the calling
 //! thread and once on the rayon pool, asserts the two passes produce
@@ -15,6 +16,12 @@
 //! intentional behaviour change and a re-bless) or if serial suite
 //! wall-clock regressed more than 25% over the recorded value.
 //!
+//! After the gate, every figure and table of the paper's evaluation is
+//! rendered from the serial pass's reports (`deepum_bench::paper`), the
+//! paper's shape checks are evaluated and compared with their pinned
+//! outcomes (a flip fails the run like a hash change), and the marked
+//! blocks of EXPERIMENTS.md are rewritten in place.
+//!
 //! Usage: `deepum_suite [--serial-only] [--out FILE] [--baseline FILE]
 //! [--pre-pr-wall SECS]`. `--pre-pr-wall` seeds the pre-rewrite anchor
 //! when first recording a baseline; afterwards the anchor is carried in
@@ -23,7 +30,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use deepum_bench::suite::{run_cell, suite_cells, CellOutcome, SUITE_ITERS};
+use deepum_bench::paper::{self, EXPERIMENTS_MD};
+use deepum_bench::shape;
+use deepum_bench::suite::{run_cell_report, suite_cells, CellOutcome, Reports, SUITE_ITERS};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Serialize, Deserialize)]
@@ -126,11 +135,14 @@ fn main() {
         threads
     );
 
-    // Serial pass, with per-cell progress (the heavy cells take a while).
+    // Serial pass, with per-cell progress (the heavy cells take a while);
+    // it keeps every report for the paper artifacts.
     let serial_started = Instant::now();
     let mut serial: Vec<CellOutcome> = Vec::with_capacity(cells.len());
+    let mut reports = Reports::default();
     for (i, cell) in cells.iter().enumerate() {
-        let outcome = run_cell(cell);
+        let (outcome, result) = run_cell_report(cell);
+        reports.insert(cell.key.clone(), result);
         println!(
             "[serial {}/{}] {} {:.2}s{}",
             i + 1,
@@ -247,6 +259,31 @@ fn main() {
             }
         }
     }
+
+    // The paper artifacts, rendered from the serial pass.
+    let artifacts = paper::render(&reports);
+    for (_, table) in &artifacts.tables {
+        table.print();
+    }
+    for check in &artifacts.checks {
+        println!("{}", check.line());
+    }
+    let flips = shape::flips(&artifacts.checks);
+    if !flips.is_empty() {
+        for flip in &flips {
+            eprintln!("SHAPE CHECK FLIPPED: {flip} (a deliberate change updates shape::PINNED)");
+        }
+        std::process::exit(1);
+    }
+    let doc_path = Path::new(EXPERIMENTS_MD);
+    let doc = std::fs::read_to_string(doc_path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", doc_path.display()));
+    std::fs::write(doc_path, paper::splice(&doc, &artifacts.blocks()))
+        .unwrap_or_else(|e| panic!("write {}: {e}", doc_path.display()));
+    println!(
+        "shape checks match their pins; rewrote {}",
+        doc_path.display()
+    );
 
     let bench = SuiteBench {
         version: 1,

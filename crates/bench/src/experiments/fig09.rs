@@ -1,28 +1,36 @@
 //! Figure 9: comparison with naive UM and IBM LMS on the V100 32 GB.
 //!
-//! Runs the seven-model grid under UM, LMS, LMS-mod, DeepUM, and Ideal,
-//! producing (a) training-throughput speedups over UM, (b) elapsed
-//! seconds for 100 training iterations (extrapolated from the measured
-//! warm-up + steady-state iterations), and (c) the total-energy ratio
-//! over UM. The same runs feed Table 4 (correlation-table size) and
-//! Table 5 (page faults per iteration).
+//! Reads the seven-model grid under UM, LMS, LMS-mod, DeepUM, and Ideal
+//! from the suite's reports, producing (a) training-throughput speedups
+//! over UM, (b) elapsed seconds for 100 training iterations
+//! (extrapolated from the measured warm-up + steady-state iterations),
+//! and (c) the total-energy ratio over UM. The same runs feed Table 4
+//! (correlation-table size) and Table 5 (page faults per iteration).
 
 use deepum_baselines::report::{RunError, RunReport};
-use deepum_torch::models::ModelKind;
-use serde::{Deserialize, Serialize};
 
-use crate::cache::RunCache;
 use crate::grids::fig9_cells;
-use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
+use crate::suite::{grid_key, Reports};
+use crate::systems::System;
 use crate::table::{ratio, secs, Table};
 
+/// The Fig. 9 systems, naive UM (the baseline) first.
+pub fn systems() -> [System; 5] {
+    [
+        System::Um,
+        System::Lms,
+        System::LmsMod,
+        System::deepum(),
+        System::Ideal,
+    ]
+}
+
 /// One grid cell's results across all systems.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     /// Model label.
     pub model: String,
-    /// Batch size (after `--scale`).
+    /// Batch size.
     pub batch: usize,
     /// Per-system reports; `Err` marks OOM (the paper's missing bars).
     pub um: Result<RunReport, RunError>,
@@ -36,45 +44,27 @@ pub struct Cell {
     pub ideal: Result<RunReport, RunError>,
 }
 
-/// Runs the full grid (cached) and returns all cells.
-pub fn run_grid(opts: &Opts) -> Vec<Cell> {
-    let cache = RunCache::new(&opts.out);
-    let mut cells = Vec::new();
-    for (model, batch) in fig9_cells(opts) {
-        cells.push(run_cell(opts, &cache, model, batch));
-    }
-    cells
-}
-
-/// Runs one grid cell under the five Fig. 9 systems (cached).
-pub fn run_cell(opts: &Opts, cache: &RunCache, model: ModelKind, batch: usize) -> Cell {
-    let workload = model.build(batch);
-    let mut params = RunParams::v100_32gb(opts.iters, opts.seed);
-    params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-    params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-
-    let run = |system: System| {
-        let key = format!(
-            "{}-b{}-{}-i{}-s{}-sc{}",
-            model.label(),
-            batch,
-            system.label(),
-            opts.iters,
-            opts.seed,
-            opts.scale
-        );
-        cache.run(&key, || run_system(&system, &workload, &params))
-    };
-
-    Cell {
-        model: model.label().into(),
-        batch,
-        um: run(System::Um),
-        lms: run(System::Lms),
-        lms_mod: run(System::LmsMod),
-        deepum: run(System::deepum()),
-        ideal: run(System::Ideal),
-    }
+/// The full grid's cells, looked up in the suite's reports.
+pub fn cells(reports: &Reports) -> Vec<Cell> {
+    fig9_cells()
+        .into_iter()
+        .map(|(model, batch)| {
+            let [um, lms, lms_mod, deepum, ideal] = systems().map(|system| {
+                reports
+                    .get(&grid_key("", model, batch, system.label()))
+                    .clone()
+            });
+            Cell {
+                model: model.label().into(),
+                batch,
+                um,
+                lms,
+                lms_mod,
+                deepum,
+                ideal,
+            }
+        })
+        .collect()
 }
 
 impl Cell {

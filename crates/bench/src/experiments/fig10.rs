@@ -1,23 +1,35 @@
 //! Figure 10: effects of prefetching and the fault-handling
 //! optimizations.
 //!
-//! Runs each model at its middle batch under naive UM and the three
-//! DeepUM ablation levels — Prefetching, Prefetching+Preeviction, and
-//! Prefetching+Preeviction+Invalidate — and reports execution time
+//! Reads each transformer at its middle batch under naive UM and the
+//! three DeepUM ablation levels — Prefetching, Prefetching+Preeviction,
+//! and Prefetching+Preeviction+Invalidate — and reports execution time
 //! normalized to UM (the paper reports average reductions of 45.6%,
 //! 63.7%, and 66.7%).
 
+use deepum_baselines::report::RunReport;
 use deepum_core::config::DeepumConfig;
-use serde::{Deserialize, Serialize};
+use deepum_torch::models::ModelKind;
 
-use crate::cache::RunCache;
-use crate::grids::{middle_batch, FIG9_GRID};
-use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
+use crate::grids::middle_batch;
+use crate::suite::{grid_key, Reports};
+use crate::systems::System;
 use crate::table::Table;
 
+/// The models the ablation sweeps, in row order.
+pub const MODELS: &[ModelKind] = &[ModelKind::BertLarge, ModelKind::Gpt2Xl, ModelKind::Gpt2L];
+
+/// The two partial levels as (cell tag, config); the third level is
+/// full DeepUM, whose cell Fig. 9 already runs.
+pub fn ablations() -> [(&'static str, DeepumConfig); 2] {
+    [
+        ("abl-prefetch", DeepumConfig::prefetch_only()),
+        ("abl-preevict", DeepumConfig::prefetch_preevict()),
+    ]
+}
+
 /// Normalized runtimes for one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationRow {
     /// Model label.
     pub model: String,
@@ -31,66 +43,35 @@ pub struct AblationRow {
     pub invalidate: Option<f64>,
 }
 
-/// Runs the ablation across the Fig. 9 models.
-pub fn run(opts: &Opts) -> Vec<AblationRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for row in FIG9_GRID {
-        if !opts.selected(row.model.label()) {
-            continue;
-        }
-        let batch = opts.batch(middle_batch(row.model));
-        let workload = row.model.build(batch);
-        let mut params = RunParams::v100_32gb(opts.iters, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-
-        let run = |tag: &str, system: System| {
-            let key = format!(
-                "{}-b{}-{}-i{}-s{}-sc{}",
-                row.model.label(),
-                batch,
-                tag,
-                opts.iters,
-                opts.seed,
-                opts.scale
-            );
-            cache
-                .run(&key, || run_system(&system, &workload, &params))
-                .ok()
-        };
-
-        let um = run("um", System::Um);
-        let pf = run(
-            "abl-prefetch",
-            System::DeepUm(DeepumConfig::prefetch_only()),
-        );
-        let pe = run(
-            "abl-preevict",
-            System::DeepUm(DeepumConfig::prefetch_preevict()),
-        );
-        let inv = run("deepum", System::deepum());
-
-        let norm = |r: &Option<deepum_baselines::report::RunReport>| match (r, &um) {
-            (Some(sys), Some(um)) => {
-                let base = um.steady_iter_time().as_nanos() as f64;
-                if base > 0.0 {
-                    Some(sys.steady_iter_time().as_nanos() as f64 / base)
-                } else {
-                    None
+/// The ablation rows, looked up in the suite's reports.
+pub fn rows(reports: &Reports) -> Vec<AblationRow> {
+    MODELS
+        .iter()
+        .map(|&model| {
+            let batch = middle_batch(model);
+            let run = |tag: &str| reports.get(&grid_key("", model, batch, tag)).as_ref().ok();
+            let um = run(System::Um.label());
+            let norm = |r: Option<&RunReport>| match (r, um) {
+                (Some(sys), Some(um)) => {
+                    let base = um.steady_iter_time().as_nanos() as f64;
+                    if base > 0.0 {
+                        Some(sys.steady_iter_time().as_nanos() as f64 / base)
+                    } else {
+                        None
+                    }
                 }
+                _ => None,
+            };
+            let [(prefetch, _), (preevict, _)] = ablations();
+            AblationRow {
+                model: model.label().into(),
+                batch,
+                prefetch: norm(run(prefetch)),
+                preevict: norm(run(preevict)),
+                invalidate: norm(run(System::deepum().label())),
             }
-            _ => None,
-        };
-        rows.push(AblationRow {
-            model: row.model.label().into(),
-            batch,
-            prefetch: norm(&pf),
-            preevict: norm(&pe),
-            invalidate: norm(&inv),
-        });
-    }
-    rows
+        })
+        .collect()
 }
 
 /// Renders the ablation table (normalized runtime, lower is better).

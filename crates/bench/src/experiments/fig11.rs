@@ -1,24 +1,29 @@
 //! Figure 11: sensitivity to the degree of prefetching (N).
 //!
-//! Sweeps the chaining look-ahead N and reports, per model at its middle
+//! Sweeps the chaining look-ahead N and reports, at the model's middle
 //! batch, the speedup and total-energy ratio relative to N = 8 — the
 //! paper's normalization point. The paper observes a sweet spot at
 //! N = 32 where speedup is highest and energy lowest.
 
-use deepum_core::config::DeepumConfig;
-use serde::{Deserialize, Serialize};
+use deepum_torch::models::ModelKind;
 
-use crate::cache::RunCache;
-use crate::grids::{middle_batch, FIG9_GRID};
-use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
+use crate::grids::middle_batch;
+use crate::suite::{grid_key, Reports};
 use crate::table::Table;
+
+/// The swept model.
+pub const MODEL: ModelKind = ModelKind::Gpt2L;
 
 /// The swept look-ahead degrees.
 pub const DEGREES: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512];
 
+/// Cell tag of the degree-`n` run.
+pub fn tag(n: usize) -> String {
+    format!("deepum-N{n}")
+}
+
 /// Results of the sweep for one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DegreeRow {
     /// Model label.
     pub model: String,
@@ -29,51 +34,42 @@ pub struct DegreeRow {
     pub per_degree: Vec<Option<(u64, f64)>>,
 }
 
-/// Runs the sweep.
-pub fn run(opts: &Opts) -> Vec<DegreeRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for row in FIG9_GRID {
-        if !opts.selected(row.model.label()) {
-            continue;
-        }
-        let batch = opts.batch(middle_batch(row.model));
-        let workload = row.model.build(batch);
-        let mut params = RunParams::v100_32gb(opts.iters, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
+/// The sweep rows, looked up in the suite's reports.
+pub fn rows(reports: &Reports) -> Vec<DegreeRow> {
+    let batch = middle_batch(MODEL);
+    let per_degree = DEGREES
+        .iter()
+        .map(|&n| {
+            reports
+                .get(&grid_key("", MODEL, batch, &tag(n)))
+                .as_ref()
+                .ok()
+                .map(|r| (r.steady_iter_time().as_nanos(), r.steady_iter_energy()))
+        })
+        .collect();
+    vec![DegreeRow {
+        model: MODEL.label().into(),
+        batch,
+        per_degree,
+    }]
+}
 
-        let per_degree = DEGREES
-            .iter()
-            .map(|&n| {
-                let key = format!(
-                    "{}-b{}-deepum-N{}-i{}-s{}-sc{}",
-                    row.model.label(),
-                    batch,
-                    n,
-                    opts.iters,
-                    opts.seed,
-                    opts.scale
-                );
-                cache
-                    .run(&key, || {
-                        run_system(
-                            &System::DeepUm(DeepumConfig::default().with_prefetch_degree(n)),
-                            &workload,
-                            &params,
-                        )
-                    })
-                    .ok()
-                    .map(|r| (r.steady_iter_time().as_nanos(), r.steady_iter_energy()))
-            })
-            .collect();
-        rows.push(DegreeRow {
-            model: row.model.label().into(),
-            batch,
-            per_degree,
-        });
-    }
-    rows
+/// Speedup of each degree over N = 8 (steady iteration time), indexed
+/// like [`DEGREES`]; `None` where either run failed.
+pub fn speedups(row: &DegreeRow) -> Vec<Option<f64>> {
+    relative(row, |x| x.0 as f64, true)
+}
+
+fn relative(row: &DegreeRow, pick: fn(&(u64, f64)) -> f64, invert: bool) -> Vec<Option<f64>> {
+    let base_idx = DEGREES.iter().position(|&n| n == 8).expect("8 in sweep");
+    let base = row.per_degree[base_idx].as_ref().map(pick);
+    row.per_degree
+        .iter()
+        .map(|d| match (d.as_ref().map(pick), base) {
+            (Some(v), Some(b)) if v > 0.0 && b > 0.0 => Some(if invert { b / v } else { v / b }),
+            _ => None,
+        })
+        .collect()
 }
 
 fn normalized(rows: &[DegreeRow], pick: fn(&(u64, f64)) -> f64, invert: bool) -> Table {
@@ -86,21 +82,11 @@ fn normalized(rows: &[DegreeRow], pick: fn(&(u64, f64)) -> f64, invert: bool) ->
         format!("Fig 11: {metric} relative to N=8 (per model, middle batch)"),
         &hdr_refs,
     );
-    let base_idx = DEGREES.iter().position(|&n| n == 8).expect("8 in sweep");
     for r in rows {
-        let base = r.per_degree[base_idx].as_ref().map(pick);
-        let mut cells = vec![r.model.clone()];
-        for d in &r.per_degree {
-            let cell = match (d.as_ref().map(pick), base) {
-                (Some(v), Some(b)) if v > 0.0 && b > 0.0 => {
-                    let ratio = if invert { b / v } else { v / b };
-                    format!("{ratio:.3}")
-                }
-                _ => "-".into(),
-            };
-            cells.push(cell);
-        }
-        t.row(cells);
+        let cells = relative(r, pick, invert)
+            .into_iter()
+            .map(|v| v.map_or_else(|| "-".into(), |v| format!("{v:.3}")));
+        t.row(std::iter::once(r.model.clone()).chain(cells));
     }
     t
 }

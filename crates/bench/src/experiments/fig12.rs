@@ -1,18 +1,18 @@
 //! Table 6 + Figure 12: UM-block correlation-table geometry sweep.
 //!
-//! Runs the thirteen (Assoc, NumSuccs, NumRows) configurations of
-//! Table 6 per model at its middle batch, reporting speedup over
-//! Config0. The paper finds Config9 (2048 rows, 2-way, 4 successors)
-//! best on average.
+//! Reads the thirteen (Assoc, NumSuccs, NumRows) configurations of
+//! Table 6 at the model's middle batch, reporting speedup over Config0.
+//! The paper finds Config9 (2048 rows, 2-way, 4 successors) best on
+//! average.
 
-use deepum_core::config::DeepumConfig;
-use serde::{Deserialize, Serialize};
+use deepum_torch::models::ModelKind;
 
-use crate::cache::RunCache;
-use crate::grids::{middle_batch, FIG9_GRID};
-use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
+use crate::grids::middle_batch;
+use crate::suite::{grid_key, Reports};
 use crate::table::Table;
+
+/// The swept model.
+pub const MODEL: ModelKind = ModelKind::BertLarge;
 
 /// The Table 6 configurations: `(Assoc, NumSuccs, NumRows)`.
 pub const CONFIGS: &[(usize, usize, usize)] = &[
@@ -31,8 +31,13 @@ pub const CONFIGS: &[(usize, usize, usize)] = &[
     (2, 4, 4096),
 ];
 
+/// Cell tag of the run with configuration `CONFIGS[i]`.
+pub fn tag(i: usize) -> String {
+    format!("deepum-cfg{i}")
+}
+
 /// Sweep results for one model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfigRow {
     /// Model label.
     pub model: String,
@@ -42,54 +47,23 @@ pub struct ConfigRow {
     pub per_config: Vec<Option<u64>>,
 }
 
-/// Runs the sweep.
-pub fn run(opts: &Opts) -> Vec<ConfigRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for row in FIG9_GRID {
-        if !opts.selected(row.model.label()) {
-            continue;
-        }
-        let batch = opts.batch(middle_batch(row.model));
-        let workload = row.model.build(batch);
-        let mut params = RunParams::v100_32gb(opts.iters, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-
-        let per_config = CONFIGS
-            .iter()
-            .enumerate()
-            .map(|(i, &(assoc, succs, rows))| {
-                let key = format!(
-                    "{}-b{}-deepum-cfg{}-i{}-s{}-sc{}",
-                    row.model.label(),
-                    batch,
-                    i,
-                    opts.iters,
-                    opts.seed,
-                    opts.scale
-                );
-                cache
-                    .run(&key, || {
-                        run_system(
-                            &System::DeepUm(
-                                DeepumConfig::default().with_block_table(assoc, succs, rows),
-                            ),
-                            &workload,
-                            &params,
-                        )
-                    })
-                    .ok()
-                    .map(|r| r.steady_iter_time().as_nanos())
-            })
-            .collect();
-        rows.push(ConfigRow {
-            model: row.model.label().into(),
-            batch,
-            per_config,
-        });
-    }
-    rows
+/// The sweep rows, looked up in the suite's reports.
+pub fn rows(reports: &Reports) -> Vec<ConfigRow> {
+    let batch = middle_batch(MODEL);
+    let per_config = (0..CONFIGS.len())
+        .map(|i| {
+            reports
+                .get(&grid_key("", MODEL, batch, &tag(i)))
+                .as_ref()
+                .ok()
+                .map(|r| r.steady_iter_time().as_nanos())
+        })
+        .collect();
+    vec![ConfigRow {
+        model: MODEL.label().into(),
+        batch,
+        per_config,
+    }]
 }
 
 /// Renders Fig. 12: speedup of each configuration over Config0.

@@ -1,21 +1,22 @@
 //! Figure 13: comparison with the TensorFlow-based approaches on the
 //! V100 16 GB.
 //!
-//! Runs vDNN, AutoTM, SwapAdvisor, Capuchin, Sentinel, DeepUM, and Ideal
-//! on the Section 6.4 workloads (ResNet-200/CIFAR-10, BERT-Large/CoLA,
-//! DCGAN/celebA, MobileNet/CIFAR-100) and reports speedups over naive
-//! UM. The paper's headline: DeepUM is faster than everything except
-//! Sentinel, to which it is comparable — while being the only fully
-//! transparent system.
+//! Reads vDNN, AutoTM, SwapAdvisor, Capuchin, Sentinel, DeepUM, and
+//! Ideal on the Section 6.4 workloads (ResNet-200/CIFAR-10,
+//! BERT-Large/CoLA, DCGAN/celebA, MobileNet/CIFAR-100) and reports
+//! speedups over naive UM. The paper's headline: DeepUM is faster than
+//! everything except Sentinel, to which it is comparable — while being
+//! the only fully transparent system.
 
 use deepum_baselines::report::{RunError, RunReport};
-use serde::{Deserialize, Serialize};
 
-use crate::cache::RunCache;
 use crate::grids::FIG13_GRID;
-use crate::opts::Opts;
-use crate::systems::{run_system, RunParams, System};
+use crate::suite::{grid_key, Reports};
+use crate::systems::System;
 use crate::table::{ratio, Table};
+
+/// Cell-key prefix of the 16 GB platform's cells.
+pub const KEY_PREFIX: &str = "16g-";
 
 /// The Fig. 13 systems, in presentation order.
 pub fn systems() -> Vec<System> {
@@ -31,7 +32,7 @@ pub fn systems() -> Vec<System> {
 }
 
 /// Results for one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompareRow {
     /// Model label.
     pub model: String,
@@ -43,43 +44,24 @@ pub struct CompareRow {
     pub runs: Vec<Result<RunReport, RunError>>,
 }
 
-/// Runs the comparison grid.
-pub fn run(opts: &Opts) -> Vec<CompareRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for &(model, batch) in FIG13_GRID {
-        if !opts.selected(model.label()) {
-            continue;
-        }
-        let batch = opts.batch(batch);
-        let workload = model.build(batch);
-        let mut params = RunParams::v100_16gb(opts.iters, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-
-        let mut run = |system: &System| {
-            let key = format!(
-                "16g-{}-b{}-{}-i{}-s{}-sc{}",
-                model.label(),
+/// The comparison rows, looked up in the suite's reports.
+pub fn rows(reports: &Reports) -> Vec<CompareRow> {
+    FIG13_GRID
+        .iter()
+        .map(|&(model, batch)| {
+            let run = |system: &System| {
+                reports
+                    .get(&grid_key(KEY_PREFIX, model, batch, system.label()))
+                    .clone()
+            };
+            CompareRow {
+                model: model.label().into(),
                 batch,
-                system.label(),
-                opts.iters,
-                opts.seed,
-                opts.scale
-            );
-            cache.run(&key, || run_system(system, &workload, &params))
-        };
-
-        let um = run(&System::Um);
-        let runs = systems().iter().map(&mut run).collect();
-        rows.push(CompareRow {
-            model: model.label().into(),
-            batch,
-            um,
-            runs,
-        });
-    }
-    rows
+                um: run(&System::Um),
+                runs: systems().iter().map(run).collect(),
+            }
+        })
+        .collect()
 }
 
 /// Renders the speedup table.

@@ -12,10 +12,8 @@ use deepum_torch::alloc::CachingAllocator;
 use deepum_torch::models::ModelKind;
 use deepum_torch::step::Step;
 use deepum_um::space::UmSpace;
-use serde::{Deserialize, Serialize};
 
-use crate::cache::RunCache;
-use crate::opts::Opts;
+use crate::suite::{SUITE_ITERS, SUITE_SEED};
 use crate::systems::{run_system, RunParams, System};
 use crate::table::Table;
 
@@ -31,7 +29,7 @@ pub const MODELS: &[(ModelKind, usize)] = &[
 ];
 
 /// Result row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaxBatchRow {
     /// Model label.
     pub model: String,
@@ -106,35 +104,26 @@ pub fn max_batch<F: FnMut(usize) -> bool>(start: usize, cap: usize, mut ok: F) -
     lo
 }
 
-/// Runs the Table 3 search.
-pub fn run(opts: &Opts) -> Vec<MaxBatchRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for &(model, start) in MODELS {
-        if !opts.selected(model.label()) {
-            continue;
-        }
-        let mut params = RunParams::v100_32gb(2, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-        let host = params.costs.host_memory_bytes;
-        let start = opts.batch(start);
-        let cap = start.saturating_mul(512).max(1024);
-
-        let lms = max_batch(start, cap, |b| {
-            let key = format!("max-lms-{}-b{}-sc{}", model.label(), b, opts.scale);
-            cache
-                .run(&key, || run_system(&System::Lms, &model.build(b), &params))
-                .is_ok()
-        });
-        let deepum = max_batch(start, cap, |b| deepum_alloc_probe(model, b, host));
-        rows.push(MaxBatchRow {
-            model: model.label().into(),
-            lms,
-            deepum,
-        });
-    }
-    rows
+/// Runs the Table 3 search: every probe simulates directly (the
+/// searches are cheap next to the suite grid).
+pub fn rows() -> Vec<MaxBatchRow> {
+    let params = RunParams::v100_32gb(SUITE_ITERS, SUITE_SEED);
+    let host = params.costs.host_memory_bytes;
+    MODELS
+        .iter()
+        .map(|&(model, start)| {
+            let cap = start.saturating_mul(512).max(1024);
+            let lms = max_batch(start, cap, |b| {
+                run_system(&System::Lms, &model.build(b), &params).is_ok()
+            });
+            let deepum = max_batch(start, cap, |b| deepum_alloc_probe(model, b, host));
+            MaxBatchRow {
+                model: model.label().into(),
+                lms,
+                deepum,
+            }
+        })
+        .collect()
 }
 
 /// Renders Table 3.

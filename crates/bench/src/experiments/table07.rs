@@ -6,11 +6,9 @@
 //! allocation replay against the 128 GB UM budget.
 
 use deepum_torch::models::ModelKind;
-use serde::{Deserialize, Serialize};
 
-use crate::cache::RunCache;
 use crate::experiments::table03::{deepum_alloc_probe, max_batch};
-use crate::opts::Opts;
+use crate::suite::{SUITE_ITERS, SUITE_SEED};
 use crate::systems::{run_system, RunParams, System};
 use crate::table::Table;
 
@@ -34,7 +32,7 @@ pub fn systems() -> Vec<System> {
 }
 
 /// Result row: per-system maximum batch (0 = does not work at all).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TfMaxBatchRow {
     /// Model label.
     pub model: String,
@@ -44,46 +42,30 @@ pub struct TfMaxBatchRow {
     pub deepum: usize,
 }
 
-/// Runs the Table 7 search.
-pub fn run(opts: &Opts) -> Vec<TfMaxBatchRow> {
-    let cache = RunCache::new(&opts.out);
-    let mut rows = Vec::new();
-    for &(model, start) in MODELS {
-        if !opts.selected(model.label()) {
-            continue;
-        }
-        let mut params = RunParams::v100_16gb(2, opts.seed);
-        params.costs.device_memory_bytes = opts.memory(params.costs.device_memory_bytes);
-        params.costs.host_memory_bytes = opts.memory(params.costs.host_memory_bytes);
-        let host = params.costs.host_memory_bytes;
-        let start = opts.batch(start);
-        let cap = start.saturating_mul(512).max(1024);
-
-        let per_system = systems()
-            .iter()
-            .map(|system| {
-                max_batch(start, cap, |b| {
-                    let key = format!(
-                        "max16-{}-{}-b{}-sc{}",
-                        system.label(),
-                        model.label(),
-                        b,
-                        opts.scale
-                    );
-                    cache
-                        .run(&key, || run_system(system, &model.build(b), &params))
-                        .is_ok()
+/// Runs the Table 7 search, simulating every probe directly.
+pub fn rows() -> Vec<TfMaxBatchRow> {
+    let params = RunParams::v100_16gb(SUITE_ITERS, SUITE_SEED);
+    let host = params.costs.host_memory_bytes;
+    MODELS
+        .iter()
+        .map(|&(model, start)| {
+            let cap = start.saturating_mul(512).max(1024);
+            let per_system = systems()
+                .iter()
+                .map(|system| {
+                    max_batch(start, cap, |b| {
+                        run_system(system, &model.build(b), &params).is_ok()
+                    })
                 })
-            })
-            .collect();
-        let deepum = max_batch(start, cap, |b| deepum_alloc_probe(model, b, host));
-        rows.push(TfMaxBatchRow {
-            model: model.label().into(),
-            per_system,
-            deepum,
-        });
-    }
-    rows
+                .collect();
+            let deepum = max_batch(start, cap, |b| deepum_alloc_probe(model, b, host));
+            TfMaxBatchRow {
+                model: model.label().into(),
+                per_system,
+                deepum,
+            }
+        })
+        .collect()
 }
 
 /// Renders Table 7.

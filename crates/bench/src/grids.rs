@@ -2,8 +2,6 @@
 
 use deepum_torch::models::ModelKind;
 
-use crate::opts::Opts;
-
 /// One (model, batch sizes) row of the Fig. 9 grid.
 #[derive(Debug, Clone, Copy)]
 pub struct GridRow {
@@ -67,12 +65,11 @@ pub fn middle_batch(model: ModelKind) -> usize {
         .unwrap_or(8)
 }
 
-/// All (model, batch) cells of the Fig. 9 grid after `--scale`/`--only`.
-pub fn fig9_cells(opts: &Opts) -> Vec<(ModelKind, usize)> {
+/// All (model, batch) cells of the Fig. 9 grid, in grid order.
+pub fn fig9_cells() -> Vec<(ModelKind, usize)> {
     FIG9_GRID
         .iter()
-        .filter(|r| opts.selected(r.model.label()))
-        .flat_map(|r| r.batches.iter().map(|&b| (r.model, opts.batch(b))))
+        .flat_map(|r| r.batches.iter().map(move |&b| (r.model, b)))
         .collect()
 }
 
@@ -85,6 +82,7 @@ mod tests {
         assert_eq!(FIG9_GRID.len(), 7);
         let cells: usize = FIG9_GRID.iter().map(|r| r.batches.len()).sum();
         assert_eq!(cells, 4 * 3 + 5 + 2 * 3); // 23 model/batch points
+        assert_eq!(fig9_cells().len(), cells);
         assert_eq!(FIG13_GRID.len(), 4);
     }
 
@@ -92,18 +90,5 @@ mod tests {
     fn middle_batches() {
         assert_eq!(middle_batch(ModelKind::Gpt2Xl), 5);
         assert_eq!(middle_batch(ModelKind::Dlrm), 160_000);
-    }
-
-    #[test]
-    fn cells_respect_filters_and_scale() {
-        let opts = Opts {
-            scale: 0.5,
-            only: Some("gpt2".into()),
-            ..Opts::default()
-        };
-        let cells = fig9_cells(&opts);
-        assert_eq!(cells.len(), 6);
-        assert!(cells.iter().all(|(m, _)| m.label().contains("gpt2")));
-        assert_eq!(cells[0].1, 2); // 3 * 0.5 rounded
     }
 }

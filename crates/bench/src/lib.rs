@@ -1,28 +1,24 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (Section 6).
+//! evaluation (Section 6) from one pass over the suite grid.
 //!
-//! Each experiment has a binary in `src/bin/` that prints the same rows
-//! or series the paper reports and writes a machine-readable JSON copy
-//! next to it (under `results/`):
+//! `deepum_suite` runs every grid cell (`suite`), gates the report
+//! digests against `ci/bench-baseline.json`, and renders each paper
+//! artifact from the kept reports by cell key (`paper`), rewriting the
+//! marked blocks of EXPERIMENTS.md:
 //!
-//! | Binary                 | Paper artifact                             |
-//! |------------------------|--------------------------------------------|
-//! | `fig09_speedup`        | Fig. 9(a) speedups, 9(b) elapsed times, 9(c) energy |
-//! | `table03_max_batch`    | Table 3 maximum batch sizes (LMS vs DeepUM) |
-//! | `table04_table_size`   | Table 4 correlation-table memory            |
-//! | `table05_faults`       | Table 5 page faults per iteration           |
-//! | `fig10_ablation`       | Fig. 10 optimization ablation               |
-//! | `fig11_degree`         | Fig. 11 prefetch-degree sensitivity         |
-//! | `fig12_table_params`   | Table 6 + Fig. 12 block-table geometry      |
-//! | `fig13_tf_compare`     | Fig. 13 TensorFlow-based comparison         |
-//! | `table07_tf_max_batch` | Table 7 max batches vs TF-based systems     |
-//! | `table08_qualitative`  | Table 8 qualitative capability matrix       |
+//! | Module                  | Paper artifact                             |
+//! |-------------------------|--------------------------------------------|
+//! | `experiments::fig09`    | Fig. 9(a) speedups, 9(b) elapsed times, 9(c) energy; Tables 4 and 5 |
+//! | `experiments::table03`  | Table 3 maximum batch sizes (LMS vs DeepUM) |
+//! | `experiments::fig10`    | Fig. 10 optimization ablation               |
+//! | `experiments::fig11`    | Fig. 11 prefetch-degree sensitivity         |
+//! | `experiments::fig12`    | Table 6 + Fig. 12 block-table geometry      |
+//! | `experiments::fig13`    | Fig. 13 TensorFlow-based comparison         |
+//! | `experiments::table07`  | Table 7 max batches vs TF-based systems     |
+//! | `experiments::table08`  | Table 8 qualitative capability matrix       |
 //!
-//! Common options on every binary: `--iters N` (default 3; the first
-//! iteration is cold/warm-up), `--scale F` (scales batch sizes *and*
-//! device/host memory together, preserving oversubscription ratios when
-//! a faster run is wanted; default 1.0 = the paper's configuration), and
-//! `--out DIR` (default `results`).
+//! The paper's shape claims are checked predicates over the rendered
+//! rows (`shape`), pinned so that a flipped outcome fails the suite.
 //!
 //! Criterion microbenchmarks (`benches/`) cover the hot data structures:
 //! correlation-table updates and chaining, the classic pair-based
@@ -31,14 +27,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod experiments;
 pub mod grids;
-pub mod opts;
+pub mod paper;
+pub mod shape;
 pub mod suite;
 pub mod systems;
 pub mod table;
 
-pub use opts::Opts;
 pub use systems::System;
 pub use table::Table;

@@ -1,5 +1,4 @@
-//! The `run_suite.sh` evaluation grid as one driver, serial or
-//! rayon-parallel.
+//! The paper's evaluation grid, run serially or on the rayon pool.
 //!
 //! Every suite cell — one (model, batch, system) simulation — is a
 //! sealed deterministic world: it builds its own workload, runs with its
@@ -10,13 +9,16 @@
 //! the parallel driver's digests are asserted identical to the serial
 //! driver's (`deepum_suite`, `tests/equivalence.rs`).
 //!
-//! The grid mirrors what `run_suite.sh` simulates: the Fig. 9 grid under
-//! its five systems (which feeds Tables 4 and 5), the Fig. 13 grid under
-//! the TF-based systems on the 16 GB platform, and the sensitivity rows
-//! the suite script sweeps (Fig. 10 ablations on bert-large/gpt2, the
-//! Fig. 11 degree sweep on gpt2-l, and the Fig. 12 table-geometry sweep
-//! on bert-large), all at the script's `--iters 2`.
+//! The grid is every simulation the paper artifacts read: the Fig. 9
+//! grid under its five systems (which feeds Tables 4 and 5), the Fig. 13
+//! grid under the TF-based systems on the 16 GB platform, and the
+//! sensitivity sweeps (Fig. 10 ablations on bert-large/gpt2, the Fig. 11
+//! degree sweep on gpt2-l, and the Fig. 12 table-geometry sweep on
+//! bert-large), all at `SUITE_ITERS` iterations. The serial pass keeps
+//! each cell's report in [`Reports`], from which `crate::paper` renders
+//! every table by cell key.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use deepum_baselines::report::{RunError, RunReport};
@@ -27,12 +29,13 @@ use deepum_trace::SharedTracer;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::experiments::{fig11, fig12, fig13};
+use crate::experiments::{fig09, fig10, fig11, fig12, fig13};
 use crate::grids::{fig9_cells, middle_batch, FIG13_GRID};
-use crate::opts::Opts;
 use crate::systems::{run_system, RunParams, System};
 
-/// Training iterations per suite cell (`run_suite.sh` passes `--iters 2`).
+/// Training iterations per suite cell: one cold iteration plus one
+/// measured steady-state iteration (the simulator is deterministic, so
+/// one steady iteration is exact).
 pub const SUITE_ITERS: usize = 2;
 
 /// Workload seed shared by every suite cell.
@@ -41,7 +44,7 @@ pub const SUITE_SEED: u64 = 0x5eed;
 /// One independent (model, batch, system) simulation cell.
 #[derive(Debug, Clone)]
 pub struct SuiteCell {
-    /// Cache-style cell key; also the hash key in the bench baseline.
+    /// Cell key ([`grid_key`]); also the hash key in the bench baseline.
     pub key: String,
     /// Model to build.
     pub model: ModelKind,
@@ -101,75 +104,81 @@ pub struct CellOutcome {
     pub hash: String,
 }
 
-fn grid_key(prefix: &str, model: ModelKind, batch: usize, tag: &str) -> String {
+/// The one cell-key scheme: `{prefix}{model}-b{batch}-{tag}-i{iters}`,
+/// where `prefix` is [`fig13::KEY_PREFIX`] for 16 GB cells and `tag` is
+/// the system label or a sweep tag.
+pub fn grid_key(prefix: &str, model: ModelKind, batch: usize, tag: &str) -> String {
     format!("{prefix}{}-b{batch}-{tag}-i{SUITE_ITERS}", model.label())
 }
 
 /// Enumerates the full suite grid, in the fixed serial order.
 pub fn suite_cells() -> Vec<SuiteCell> {
-    let opts = Opts {
-        iters: SUITE_ITERS,
-        ..Opts::default()
-    };
     let mut cells = Vec::new();
     // Fig. 9 grid (feeds Tables 4 and 5): five systems per (model, batch).
-    for (model, batch) in fig9_cells(&opts) {
-        for system in [
-            System::Um,
-            System::Lms,
-            System::LmsMod,
-            System::deepum(),
-            System::Ideal,
-        ] {
+    for (model, batch) in fig9_cells() {
+        for system in fig09::systems() {
             let key = grid_key("", model, batch, system.label());
             cells.push(SuiteCell::new(key, model, batch, system));
         }
     }
     // Fig. 13 grid: naive UM plus the TF-based systems on the 16 GB V100.
     for &(model, batch) in FIG13_GRID {
-        let mut systems = vec![System::Um];
-        systems.extend(fig13::systems());
-        for system in systems {
-            let key = grid_key("16g-", model, batch, system.label());
+        for system in std::iter::once(System::Um).chain(fig13::systems()) {
+            let key = grid_key(fig13::KEY_PREFIX, model, batch, system.label());
             let mut cell = SuiteCell::new(key, model, batch, system);
             cell.sixteen_gb = true;
             cells.push(cell);
         }
     }
-    // Fig. 10 ablation rows the suite script sweeps (bert-large, gpt2*);
-    // their um/deepum anchors are already Fig. 9 cells above.
-    for model in [ModelKind::BertLarge, ModelKind::Gpt2Xl, ModelKind::Gpt2L] {
+    // Fig. 10 ablation levels; their um/deepum anchors are already
+    // Fig. 9 cells above.
+    for &model in fig10::MODELS {
         let batch = middle_batch(model);
-        for (tag, cfg) in [
-            ("abl-prefetch", DeepumConfig::prefetch_only()),
-            ("abl-preevict", DeepumConfig::prefetch_preevict()),
-        ] {
+        for (tag, cfg) in fig10::ablations() {
             let key = grid_key("", model, batch, tag);
             cells.push(SuiteCell::new(key, model, batch, System::DeepUm(cfg)));
         }
     }
-    // Fig. 11 prefetch-degree sweep on gpt2-l at its middle batch.
-    {
-        let model = ModelKind::Gpt2L;
-        let batch = middle_batch(model);
-        for &n in fig11::DEGREES {
-            let key = grid_key("", model, batch, &format!("deepum-N{n}"));
-            let system = System::DeepUm(DeepumConfig::default().with_prefetch_degree(n));
-            cells.push(SuiteCell::new(key, model, batch, system));
-        }
+    // Fig. 11 prefetch-degree sweep at the model's middle batch.
+    let batch = middle_batch(fig11::MODEL);
+    for &n in fig11::DEGREES {
+        let key = grid_key("", fig11::MODEL, batch, &fig11::tag(n));
+        let system = System::DeepUm(DeepumConfig::default().with_prefetch_degree(n));
+        cells.push(SuiteCell::new(key, fig11::MODEL, batch, system));
     }
-    // Fig. 12 correlation-table geometry sweep on bert-large.
-    {
-        let model = ModelKind::BertLarge;
-        let batch = middle_batch(model);
-        for (i, &(assoc, succs, rows)) in fig12::CONFIGS.iter().enumerate() {
-            let key = grid_key("", model, batch, &format!("deepum-cfg{i}"));
-            let system =
-                System::DeepUm(DeepumConfig::default().with_block_table(assoc, succs, rows));
-            cells.push(SuiteCell::new(key, model, batch, system));
-        }
+    // Fig. 12 correlation-table geometry sweep.
+    let batch = middle_batch(fig12::MODEL);
+    for (i, &(assoc, succs, rows)) in fig12::CONFIGS.iter().enumerate() {
+        let key = grid_key("", fig12::MODEL, batch, &fig12::tag(i));
+        let system = System::DeepUm(DeepumConfig::default().with_block_table(assoc, succs, rows));
+        cells.push(SuiteCell::new(key, fig12::MODEL, batch, system));
     }
     cells
+}
+
+/// Every cell's result from one suite pass, by cell key.
+#[derive(Debug, Default)]
+pub struct Reports {
+    by_key: BTreeMap<String, Result<RunReport, RunError>>,
+}
+
+impl Reports {
+    /// Records `key`'s result.
+    pub fn insert(&mut self, key: String, result: Result<RunReport, RunError>) {
+        self.by_key.insert(key, result);
+    }
+
+    /// The result of the cell `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the key when no such cell ran: a renderer asking for
+    /// a cell outside [`suite_cells`] is a bug, never a missing bar.
+    pub fn get(&self, key: &str) -> &Result<RunReport, RunError> {
+        self.by_key
+            .get(key)
+            .unwrap_or_else(|| panic!("no suite cell {key}"))
+    }
 }
 
 fn simulate(cell: &SuiteCell, tracer: Option<SharedTracer>) -> Result<RunReport, RunError> {
@@ -210,8 +219,9 @@ pub fn digest(body: &str) -> String {
     format!("{h:016x}")
 }
 
-/// Runs one cell and reduces it to its measured outcome.
-pub fn run_cell(cell: &SuiteCell) -> CellOutcome {
+/// Runs one cell and returns its measured outcome plus the result the
+/// outcome was reduced from.
+pub fn run_cell_report(cell: &SuiteCell) -> (CellOutcome, Result<RunReport, RunError>) {
     let started = Instant::now();
     let result = simulate(cell, None);
     let wall_secs = started.elapsed().as_secs_f64();
@@ -219,14 +229,20 @@ pub fn run_cell(cell: &SuiteCell) -> CellOutcome {
         Ok(r) => (r.counters.kernels_launched, r.total.as_nanos(), true),
         Err(_) => (0, 0, false),
     };
-    CellOutcome {
+    let outcome = CellOutcome {
         key: cell.key.clone(),
         wall_secs,
         kernels,
         sim_ns,
         ok,
         hash: digest(&report_json(&result)),
-    }
+    };
+    (outcome, result)
+}
+
+/// Runs one cell and reduces it to its measured outcome.
+pub fn run_cell(cell: &SuiteCell) -> CellOutcome {
+    run_cell_report(cell).0
 }
 
 /// Runs a cell and returns its canonical report JSON (equivalence-test
@@ -283,6 +299,12 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), cells.len(), "cell keys must be unique");
+    }
+
+    #[test]
+    #[should_panic(expected = "no suite cell gpt2-xl-b4-um-i2")]
+    fn reports_name_the_missing_key() {
+        let _ = Reports::default().get("gpt2-xl-b4-um-i2");
     }
 
     #[test]

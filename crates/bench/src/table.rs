@@ -1,12 +1,7 @@
-//! Plain-text table rendering plus JSON export for experiment output.
-
-use std::io::Write as _;
-use std::path::Path;
-
-use serde::Serialize;
+//! Plain-text table rendering for experiment output.
 
 /// A printable experiment table.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Table title (printed above).
     pub title: String,
@@ -27,13 +22,23 @@ impl Table {
     }
 
     /// Appends a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the row's width differs from the header's: `render`
+    /// would otherwise drop the surplus cells silently.
     pub fn row<I, S>(&mut self, cells: I)
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
-        debug_assert_eq!(row.len(), self.headers.len(), "row width mismatch");
+        assert_eq!(
+            row.len(),
+            self.headers.len(),
+            "row width mismatch in {}",
+            self.title
+        );
         self.rows.push(row);
     }
 
@@ -70,20 +75,6 @@ impl Table {
     pub fn print(&self) {
         println!("{}", self.render());
     }
-}
-
-/// Writes `value` as pretty JSON to `dir/name.json`, creating `dir`.
-///
-/// # Panics
-///
-/// Panics on I/O failure (experiment binaries want loud failures).
-pub fn write_json<T: Serialize>(dir: &Path, name: &str, value: &T) {
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path).expect("create results file");
-    let body = serde_json::to_string_pretty(value).expect("serialize results");
-    f.write_all(body.as_bytes()).expect("write results");
-    eprintln!("[written] {}", path.display());
 }
 
 /// Formats a ratio with two decimals, or `-` for absent runs.
@@ -124,13 +115,9 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let dir = std::env::temp_dir().join("deepum-table-test");
-        let mut t = Table::new("x", &["a"]);
-        t.row(["1"]);
-        write_json(&dir, "t", &t);
-        let body = std::fs::read_to_string(dir.join("t.json")).unwrap();
-        assert!(body.contains("\"title\""));
-        std::fs::remove_dir_all(&dir).ok();
+    #[should_panic(expected = "row width mismatch in demo")]
+    fn short_rows_are_rejected() {
+        let mut t = Table::new("demo", &["model", "speedup"]);
+        t.row(["gpt2-xl"]);
     }
 }
