@@ -130,11 +130,6 @@ fn classify(rel: &str) -> FileClass {
     {
         return FileClass::TestDir;
     }
-    let crate_name = if segments.first() == Some(&"crates") && segments.len() > 1 {
-        segments[1].to_string()
-    } else {
-        "deepum".to_string()
-    };
     let crate_root = rel == "src/lib.rs"
         || (segments.len() == 4
             && segments[0] == "crates"
@@ -142,19 +137,21 @@ fn classify(rel: &str) -> FileClass {
             && segments[3] == "lib.rs");
     FileClass::Source(FileScope {
         rel_path: rel.to_string(),
-        crate_name,
+        crate_name: crate_of(rel),
         crate_root,
     })
 }
 
-/// Crate a path belongs to, regardless of class (workspace passes need
-/// this for test-dir files too).
+/// Package a path belongs to, regardless of class (workspace passes
+/// need this for test-dir files too): `crates/<name>/…` is `<name>`, the
+/// standalone `perfbench/` package is `perfbench`, and everything else
+/// is the root facade `deepum`.
 fn crate_of(rel: &str) -> String {
-    let segments: Vec<&str> = rel.split('/').collect();
-    if segments.first() == Some(&"crates") && segments.len() > 1 {
-        segments[1].to_string()
-    } else {
-        "deepum".to_string()
+    let mut segments = rel.split('/');
+    match (segments.next(), segments.next()) {
+        (Some("crates"), Some(name)) => name.to_string(),
+        (Some("perfbench"), Some(_)) => "perfbench".to_string(),
+        _ => "deepum".to_string(),
     }
 }
 

@@ -108,9 +108,10 @@ const CONTAINER_CRATES: &[&str] = &["sim", "core", "um", "gpu", "runtime", "sche
 /// Identifier patterns for `determinism-container`.
 const CONTAINER_PATTERNS: &[&str] = &["HashMap", "HashSet"];
 
-/// Crates allowed to read wall clocks etc. (shims are skipped wholesale
-/// by the walker and never reach the lints).
-const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["bench"];
+/// Crates allowed to read wall clocks etc.: the experiment drivers and
+/// the host-time benchmark, which measure the host on purpose (shims are
+/// skipped wholesale by the walker and never reach the lints).
+const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["bench", "perfbench"];
 
 /// Patterns for `determinism-wallclock`.
 const WALLCLOCK_PATTERNS: &[&str] = &[
@@ -124,7 +125,9 @@ const WALLCLOCK_PATTERNS: &[&str] = &[
 /// Files on the fault-drain / eviction / recovery critical path for
 /// `panic-safety`. The snapshot codec and the restore path run while
 /// the simulated system is already degraded, so a panic there turns a
-/// recoverable hard fault into an abort. The multi-tenant scheduler is
+/// recoverable hard fault into an abort; the UM executor runs that
+/// checkpoint/restore path for solo runs and tenants alike. The
+/// multi-tenant scheduler is
 /// held to the same bar: one tenant's failure must surface as a typed
 /// error, never abort its co-tenants. The serving layer too: a request
 /// must end as completed or a typed shed, never a panic. The checkpoint
@@ -142,6 +145,7 @@ const PANIC_FILES: &[&str] = &[
     "crates/core/src/ckpt.rs",
     "crates/core/src/driver.rs",
     "crates/core/src/recovery.rs",
+    "crates/baselines/src/executor/um.rs",
     "crates/sched/src/scheduler.rs",
     "crates/sched/src/tenant.rs",
     "crates/sched/src/spec.rs",
@@ -307,7 +311,7 @@ pub fn check_line(
                 end_col,
                 lint: "determinism-wallclock",
                 message: format!(
-                    "`{pat}` injects ambient nondeterminism; thread simulated time / seeded RNG through instead (only `bench` may touch the host)"
+                    "`{pat}` injects ambient nondeterminism; thread simulated time / seeded RNG through instead (only `bench` and `perfbench` may touch the host)"
                 ),
             });
         }

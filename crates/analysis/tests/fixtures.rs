@@ -234,6 +234,27 @@ fn workspace_fail_fixtures_are_quiet_when_their_lint_is_skipped() {
     }
 }
 
+/// The wall-clock exemption follows the package: `Instant::now` in the
+/// standalone `perfbench` package passes, and the same line in a
+/// simulation crate still fails.
+#[test]
+fn wallclock_exemption_covers_perfbench() {
+    let cfg = Config::all();
+    let file = "perfbench_wallclock.rs";
+    let as_path = "perfbench/src/fixture.rs";
+    let violations = analyze_source(as_path, &fixture("pass", file), &cfg);
+    assert!(
+        violations.is_empty(),
+        "pass/{file} analyzed as {as_path} should be clean, got: {violations:?}"
+    );
+    let as_path = "crates/sched/src/fixture.rs";
+    let violations = analyze_source(as_path, &fixture("fail", file), &cfg);
+    assert!(
+        lints_hit(&violations).contains("determinism-wallclock"),
+        "fail/{file} analyzed as {as_path} should trigger determinism-wallclock, got: {violations:?}"
+    );
+}
+
 /// The live workspace must be clean modulo the committed ratchet
 /// baseline — and the baseline itself must be tight: a stale entry
 /// (fixed violations still grandfathered) fails here too, enforcing the

@@ -13,8 +13,14 @@
 //! * DLRM-style gathers are sampled per iteration with a seeded RNG and
 //!   cached per table so forward lookup and backward update touch the
 //!   same rows.
+//!
+//! The pass is one resumable stepper, [`UmRun`], that performs one unit
+//! of work (an allocation, a free, a kernel launch, or a restore) per
+//! [`UmRun::step`]. [`run_um`] steps it to completion; the multi-tenant
+//! scheduler steps one per tenant while that tenant's slot is open.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 use deepum_core::ckpt::{CheckpointRing, Generation, RecoveryError, DEFAULT_RING_DEPTH};
 use deepum_core::recovery::{JournalEntry, LaunchJournal, RecoveryReport};
@@ -34,7 +40,7 @@ use deepum_sim::rng::DetRng;
 use deepum_sim::time::Ns;
 use deepum_torch::alloc::{AllocError, CachingAllocator, PtBlockId, PtEvent};
 use deepum_torch::perf::PerfModel;
-use deepum_torch::step::{GatherAccess, Step, TensorId, Workload};
+use deepum_torch::step::{GatherAccess, KernelStep, Step, TensorId, Workload};
 use deepum_trace::{InjectKind, SharedTracer, TraceEvent};
 use deepum_um::snapshot::{
     read_counters, write_counters, SnapshotError, SnapshotReader, SnapshotWriter,
@@ -108,16 +114,55 @@ impl UmRunConfig {
     }
 }
 
+/// How a run reads its backend: the counters its iterations and report
+/// record, and the resident set a restore refills over PCIe. A plain
+/// `Fn(&B) -> Counters` closure is a scope over the whole device.
+pub trait RunScope<B> {
+    /// The counters the run attributes to itself.
+    fn counters(&self, backend: &B) -> Counters;
+    /// Pages a device reset wiped that the run must fault back in.
+    fn resident_pages(&self, backend: &B) -> u64;
+}
+
+impl<B: UmBackend, F: Fn(&B) -> Counters> RunScope<B> for F {
+    fn counters(&self, backend: &B) -> Counters {
+        self(backend)
+    }
+
+    fn resident_pages(&self, backend: &B) -> u64 {
+        backend.resident_pages()
+    }
+}
+
+/// What one [`UmRun::step`] call accomplished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepOutcome {
+    /// One unit of work ran; `kernel` is true when it launched a kernel
+    /// (the unit the multi-tenant scheduler's priority quota counts).
+    Ran {
+        /// Whether the unit launched a kernel.
+        kernel: bool,
+    },
+    /// The run already completed every iteration; nothing was done.
+    Done,
+    /// The run terminated with an error (see [`UmRun::error`]).
+    Failed,
+}
+
+type TensorMap = BTreeMap<TensorId, (PtBlockId, ByteRange)>;
+
 /// Everything the run loop mutates that lives *outside* the backend,
-/// runtime, allocator, and engine. Cloning it is the in-memory half of a
-/// checkpoint; assigning it back is the in-memory half of a restore.
-#[derive(Clone)]
+/// runtime, allocator, and engine. A checkpoint serializes it next to
+/// their images; a restore decodes it back.
 struct LoopState {
     clock: SimClock,
     energy: EnergyMeter,
     rng: DetRng,
     tensors: TensorMap,
-    gather_cache: HashMap<TensorId, Vec<BlockAccess>>,
+    /// Gather samples are stable within an iteration (forward lookup and
+    /// backward update touch the same rows) and resampled across
+    /// iterations (fresh minibatch).
+    gather_cache: BTreeMap<TensorId, Vec<BlockAccess>>,
     iters: Vec<IterStats>,
     /// Current iteration index.
     iter: usize,
@@ -161,8 +206,8 @@ fn encode_checkpoint(
 
 /// Appends the loop state — clock, energy accumulators, RNG, tensor
 /// map, gather cache, finished iterations, and the run position — to a
-/// checkpoint image. Maps are written in sorted key order so the image
-/// is byte-stable across runs.
+/// checkpoint image. The maps iterate in key order, so the image is
+/// byte-stable across runs.
 fn encode_loop_state(st: &LoopState, w: &mut SnapshotWriter) {
     w.ns(st.clock.now());
     let (joules_bits, times) = st.energy.accum_state();
@@ -174,22 +219,16 @@ fn encode_loop_state(st: &LoopState, w: &mut SnapshotWriter) {
         w.u64(word);
     }
 
-    let mut tensors: Vec<(TensorId, (PtBlockId, ByteRange))> =
-        st.tensors.iter().map(|(k, v)| (*k, *v)).collect();
-    tensors.sort_unstable_by_key(|(id, _)| id.0);
-    w.u64(u64_from_usize(tensors.len()));
-    for (id, (block, range)) in tensors {
+    w.u64(u64_from_usize(st.tensors.len()));
+    for (id, (block, range)) in &st.tensors {
         w.u32(id.0);
         w.u64(block.raw());
         w.u64(range.start().raw());
         w.u64(range.len());
     }
 
-    let mut gathers: Vec<(TensorId, &Vec<BlockAccess>)> =
-        st.gather_cache.iter().map(|(k, v)| (*k, v)).collect();
-    gathers.sort_unstable_by_key(|(id, _)| id.0);
-    w.u64(u64_from_usize(gathers.len()));
-    for (id, accesses) in gathers {
+    w.u64(u64_from_usize(st.gather_cache.len()));
+    for (id, accesses) in &st.gather_cache {
         w.u32(id.0);
         w.u64(u64_from_usize(accesses.len()));
         for a in accesses {
@@ -234,7 +273,7 @@ fn decode_loop_state(r: &mut SnapshotReader<'_>) -> Result<LoopState, SnapshotEr
     let rng = DetRng::from_state(rng_state);
 
     let num_tensors = r.len_prefix(4 + 8 + 8 + 8)?;
-    let mut tensors = TensorMap::with_capacity(num_tensors);
+    let mut tensors = TensorMap::new();
     for _ in 0..num_tensors {
         let id = TensorId(r.u32()?);
         let block = PtBlockId::from_raw(r.u64()?);
@@ -244,7 +283,7 @@ fn decode_loop_state(r: &mut SnapshotReader<'_>) -> Result<LoopState, SnapshotEr
     }
 
     let num_gathers = r.len_prefix(4 + 8)?;
-    let mut gather_cache = HashMap::with_capacity(num_gathers);
+    let mut gather_cache = BTreeMap::new();
     for _ in 0..num_gathers {
         let id = TensorId(r.u32()?);
         let num_accesses = r.len_prefix(8 + 64 + 1)?;
@@ -305,7 +344,7 @@ fn decode_loop_state(r: &mut SnapshotReader<'_>) -> Result<LoopState, SnapshotEr
 /// envelope checksum is verified before anything is mutated, so a
 /// corrupt generation fails cleanly and the caller can fall back to an
 /// older one.
-fn try_restore_image<B: UmBackend + LaunchObserver>(
+fn try_restore_image<B: UmBackend>(
     image: &[u8],
     backend: &mut B,
     runtime: &mut CudaRuntime,
@@ -343,99 +382,674 @@ fn emit(tracer: &Option<SharedTracer>, now: Ns, event: TraceEvent) {
     }
 }
 
-/// Rewinds the whole run to the newest restorable checkpoint generation
-/// after a hard fault and charges the downtime (reset penalty +
-/// demand-only refill of the restored resident set) to the recovery
-/// report, out of band of the simulation clock so recovered runs stay
-/// byte-comparable to uninterrupted ones.
-///
-/// The ring is walked newest-first: a generation whose stored image
-/// fails its envelope checksum (torn write, truncation, bit flip) is
-/// traced as [`TraceEvent::CheckpointCorrupt`] and the next-older one
-/// is tried, replaying a correspondingly longer journal segment. Every
-/// generation failing surfaces the typed
-/// [`RunError::AllCheckpointsCorrupt`].
-///
-/// Returns the journaled launches the chosen generation replays.
-#[allow(clippy::too_many_arguments)]
-fn recover<B: UmBackend + LaunchObserver>(
-    ring: &CheckpointRing<Option<TransientInjectorState>>,
-    st: &mut LoopState,
-    backend: &mut B,
-    runtime: &mut CudaRuntime,
-    allocator: &mut CachingAllocator,
-    engine: &mut GpuEngine,
-    injector: Option<&SharedInjector>,
-    plan: &InjectionPlan,
-    costs: &CostModel,
-    journal: &mut LaunchJournal,
-    rec: &mut RecoveryReport,
-    fallback_generations: &mut u64,
-    tracer: &Option<SharedTracer>,
-    reason: &str,
-) -> Result<u64, RunError> {
-    rec.restores += 1;
-    if rec.restores > MAX_RESTORES {
-        return Err(RunError::Recovery(format!(
-            "gave up after {MAX_RESTORES} restores (last hard fault: {reason})"
-        )));
+/// Maps a caching-allocator failure to the run's typed error; `what`
+/// names the allocation in the message.
+pub fn alloc_error(e: AllocError, what: &str) -> RunError {
+    match e {
+        AllocError::OutOfMemory { requested } => RunError::OutOfMemory(format!(
+            "{what} of {requested} bytes exceeds the UM backing store"
+        )),
+        AllocError::ZeroSize => RunError::Unsupported(format!("zero-size {what}")),
     }
-    // Corrupt-generation events are stamped at crash time; the clock has
-    // not been rewound yet.
-    let crash_now = st.clock.now();
-    let restored = ring.restore_with(
-        |generation| {
-            try_restore_image(&generation.image, backend, runtime, allocator, engine)
-                .map(|state| (state, generation.journal_mark, generation.extra.clone()))
-        },
-        |index, _err| {
-            emit(
-                tracer,
-                crash_now,
-                TraceEvent::CheckpointCorrupt { generation: index },
-            );
-        },
-    );
-    let (generation, (state, mark, transient)) = match restored {
-        Ok(ok) => ok,
-        Err(RecoveryError::NoCheckpoint) => {
-            return Err(RunError::Recovery(format!(
-                "{reason} before the first checkpoint"
-            )))
-        }
-        Err(RecoveryError::AllCheckpointsCorrupt { generations }) => {
-            return Err(RunError::AllCheckpointsCorrupt { generations })
-        }
-    };
+}
 
-    let replayed = u64_from_usize(journal.since(mark));
-    rec.replay_kernels += replayed;
-    journal.truncate_to(mark);
-    *st = state;
-    if let (Some(inj), Some(tr)) = (injector, &transient) {
-        inj.borrow_mut().restore_transient(tr);
+/// Maps a kernel the engine could not finish to the run's typed error.
+/// A kernel pinning more pages than the device holds is terminal: no
+/// eviction order fixes that.
+pub fn engine_error(e: EngineError) -> RunError {
+    match e {
+        EngineError::Backend(BackendError::CapacityExceeded {
+            needed_pages,
+            capacity_pages,
+        }) => RunError::WorkingSetExceedsDevice {
+            needed_pages,
+            capacity_pages,
+        },
+        e => RunError::Driver(e.to_string()),
     }
-    if generation > 0 {
-        *fallback_generations += generation;
-        emit(
-            tracer,
-            st.clock.now(),
-            TraceEvent::RecoveryFellBack {
-                generations: generation,
-                replayed,
+}
+
+/// Drains allocator events into driver notifications.
+pub fn forward_events<B: LaunchObserver>(
+    events: &mut Vec<PtEvent>,
+    runtime: &mut CudaRuntime,
+    backend: &mut B,
+    now: Ns,
+) {
+    for event in events.drain(..) {
+        match event {
+            PtEvent::Active(range) => runtime.notify_pt_block(now, range, false, backend),
+            PtEvent::Inactive(range) => runtime.notify_pt_block(now, range, true, backend),
+            PtEvent::Released(range) => backend.on_um_range_released(now, range),
+        }
+    }
+}
+
+/// A resumable UM-path run: the stack that replays a workload's step
+/// program against a backend; the caller passes both to every step.
+pub struct UmRun {
+    /// Report label, also named by the checkpointing error.
+    system: String,
+    cfg: UmRunConfig,
+    runtime: CudaRuntime,
+    allocator: CachingAllocator,
+    engine: GpuEngine,
+    injector: Option<SharedInjector>,
+    st: LoopState,
+    events: Vec<PtEvent>,
+    /// Checkpoint cadence; `None` leaves the recovery machinery off.
+    cadence: Option<u64>,
+    recovery: Option<RecoveryReport>,
+    ring: CheckpointRing<Option<TransientInjectorState>>,
+    checkpoint_due: bool,
+    journal: LaunchJournal,
+    /// Extra generations consumed by restores skipping corrupt images.
+    fallback_generations: u64,
+    persistent_done: bool,
+    done: bool,
+    error: Option<RunError>,
+}
+
+impl UmRun {
+    /// Builds the run's private stack and installs the plan's injector
+    /// and the config's tracer on `backend` and the engine. `va_base`
+    /// is where the run's UM space starts allocating. No backend work
+    /// happens until the first [`UmRun::step`].
+    pub fn new<B: UmBackend>(
+        system: &str,
+        cfg: UmRunConfig,
+        va_base: u64,
+        backend: &mut B,
+    ) -> Self {
+        let runtime = CudaRuntime::with_va_base(
+            cfg.costs.host_memory_bytes,
+            va_base,
+            cfg.costs.launch_intercept_cost,
+        );
+        let mut engine = GpuEngine::new();
+        // An empty plan installs no injector at all, keeping the run
+        // bit-identical to one that never heard of fault injection.
+        let injector = if cfg.plan.is_empty() {
+            None
+        } else {
+            Some(cfg.plan.build_shared())
+        };
+        if let Some(inj) = &injector {
+            backend.install_injector(inj.clone());
+            engine.set_injector(inj.clone());
+        }
+        engine.set_validate_after_drain(cfg.validate_after_drain);
+        if let Some(tr) = &cfg.tracer {
+            backend.install_tracer(tr.clone());
+            engine.set_tracer(tr.clone());
+        }
+        // Checkpointing is active when hard faults can happen or the
+        // config asked for it; otherwise stepping is behaviorally
+        // identical to a plain nested iteration/step walk.
+        let cadence = cfg.checkpoint_cadence();
+        let st = LoopState {
+            clock: SimClock::new(),
+            energy: EnergyMeter::new(),
+            rng: DetRng::seed(cfg.seed),
+            tensors: TensorMap::new(),
+            gather_cache: BTreeMap::new(),
+            iters: Vec::with_capacity(cfg.iterations),
+            iter: 0,
+            step: 0,
+            t0: Ns::ZERO,
+            c0: Counters::new(),
+            compute: Ns::ZERO,
+            stall: Ns::ZERO,
+            kernel_seq: 0,
+        };
+        UmRun {
+            system: system.into(),
+            cfg,
+            runtime,
+            allocator: CachingAllocator::new(),
+            engine,
+            injector,
+            st,
+            events: Vec::new(),
+            cadence,
+            recovery: cadence.map(|_| RecoveryReport::default()),
+            ring: CheckpointRing::new(DEFAULT_RING_DEPTH),
+            checkpoint_due: cadence.is_some(),
+            journal: LaunchJournal::new(JOURNAL_CAPACITY),
+            fallback_generations: 0,
+            persistent_done: false,
+            done: false,
+            error: None,
+        }
+    }
+
+    /// Performs one unit of `workload`'s program against `backend`. A
+    /// failed unit records its error and every later call returns
+    /// [`StepOutcome::Failed`]. Every call must pass the same workload.
+    pub fn step<B, S>(&mut self, workload: &Workload, backend: &mut B, scope: &S) -> StepOutcome
+    where
+        B: UmBackend + LaunchObserver,
+        S: RunScope<B>,
+    {
+        if self.error.is_some() {
+            return StepOutcome::Failed;
+        }
+        if self.done {
+            return StepOutcome::Done;
+        }
+        match self.advance(workload, backend, scope) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                self.error = Some(e);
+                StepOutcome::Failed
+            }
+        }
+    }
+
+    /// The run's virtual time.
+    pub fn now(&self) -> Ns {
+        self.st.clock.now()
+    }
+
+    /// Advances the run's clock by time spent outside its own steps.
+    pub fn advance_clock(&mut self, delta: Ns) {
+        self.st.clock.advance(delta);
+    }
+
+    /// Whole-stack energy consumed so far, joules.
+    pub fn energy_joules(&self) -> f64 {
+        self.st.energy.joules()
+    }
+
+    /// The run's tracer, if the config installed one.
+    pub fn tracer(&self) -> Option<SharedTracer> {
+        self.cfg.tracer.clone()
+    }
+
+    /// The run's fault injector, if its plan is non-empty.
+    pub fn injector(&self) -> Option<SharedInjector> {
+        self.injector.clone()
+    }
+
+    /// True once every iteration ran to completion.
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Terminal error, if the run failed.
+    pub fn error(&self) -> Option<&RunError> {
+        self.error.as_ref()
+    }
+
+    /// Terminates the run with an error observed outside its steps. The
+    /// first error wins; a finished run is left alone.
+    pub fn fail(&mut self, e: RunError) {
+        if self.error.is_none() && !self.done {
+            self.error = Some(e);
+        }
+    }
+
+    /// Per-iteration statistics accumulated so far.
+    pub fn iters(&self) -> &[IterStats] {
+        &self.st.iters
+    }
+
+    /// Checkpoint/restore summary, when the recovery machinery is on.
+    pub fn recovery(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
+    }
+
+    /// Extra checkpoint generations the restores consumed skipping
+    /// corrupt images.
+    pub fn recovery_generations(&self) -> u64 {
+        self.fallback_generations
+    }
+
+    /// Builds the report of a run stepped to its end.
+    ///
+    /// # Errors
+    ///
+    /// The error the run terminated with.
+    pub fn into_report<B, S>(
+        self,
+        workload: &Workload,
+        backend: &B,
+        scope: &S,
+    ) -> Result<RunReport, RunError>
+    where
+        B: UmBackend,
+        S: RunScope<B>,
+    {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+
+        // The health section appears when anything robustness-related
+        // happened: transient faults were injectable, or the backend
+        // degraded. A purely hard-fault plan leaves it out so such runs
+        // stay byte-identical to plan-free ones (modulo the recovery
+        // section).
+        let backend_health = backend.health();
+        let health = if self.cfg.plan.has_transients() || backend_health != BackendHealth::default()
+        {
+            Some(HealthReport {
+                injected: self
+                    .injector
+                    .as_ref()
+                    .map(|i| *i.borrow().stats())
+                    .unwrap_or_default(),
+                backend: backend_health,
+            })
+        } else {
+            None
+        };
+
+        // The wear section appears when the device actually wore (a page
+        // was retired) or a restore fell back past a corrupt generation;
+        // otherwise it is omitted and the report stays byte-identical to
+        // pre-wear builds.
+        let wear_stats = backend.wear();
+        let wear = if wear_stats.is_some() || self.fallback_generations > 0 {
+            Some(WearReport {
+                retired_pages: wear_stats.map_or(0, |w| w.retired_pages),
+                remigrations: wear_stats.map_or(0, |w| w.remigrated_pages),
+                recovery_generations: self.fallback_generations,
+            })
+        } else {
+            None
+        };
+
+        Ok(RunReport {
+            workload: workload.name.clone(),
+            system: self.system,
+            total: self.st.clock.now(),
+            energy_joules: self.st.energy.joules(),
+            iters: self.st.iters,
+            counters: scope.counters(backend),
+            table_bytes: None,
+            health,
+            recovery: self.recovery,
+            trace: self.cfg.tracer.as_ref().map(|t| t.borrow_mut().report()),
+            pressure: backend.pressure().map(|p| PressureReport {
+                final_level: p.level,
+                peak_score_pct: p.peak_score_pct,
+                refaults: p.refaults,
+                cooldown_skips: p.cooldown_skips,
+                level_changes: p.level_changes,
+                window_resizes: p.window_resizes,
+            }),
+            tenants: None,
+            serving: None,
+            wear,
+        })
+    }
+
+    /// One unit of work: the persistent allocations (first), then one
+    /// step of the program, or a restore when a hard fault hits.
+    fn advance<B, S>(
+        &mut self,
+        workload: &Workload,
+        backend: &mut B,
+        scope: &S,
+    ) -> Result<StepOutcome, RunError>
+    where
+        B: UmBackend + LaunchObserver,
+        S: RunScope<B>,
+    {
+        if !self.persistent_done {
+            for spec in &workload.persistent {
+                self.alloc_tensor(spec.id, spec.bytes, backend)?;
+            }
+            self.persistent_done = true;
+            self.st.t0 = self.st.clock.now();
+            self.st.c0 = scope.counters(backend);
+            return Ok(StepOutcome::Ran { kernel: false });
+        }
+        if self.st.iter >= self.cfg.iterations {
+            self.finish();
+            return Ok(StepOutcome::Done);
+        }
+        // Checkpoints land on kernel boundaries: the position (iter,
+        // step) plus the component images fully determine the rest of
+        // the run.
+        if self.checkpoint_due {
+            self.take_checkpoint(backend)?;
+        }
+
+        let mut kernel = false;
+        match workload.steps.get(self.st.step) {
+            Some(Step::Alloc(spec)) => self.alloc_tensor(spec.id, spec.bytes, backend)?,
+            Some(Step::Free(id)) => {
+                let (block, _) = self
+                    .st
+                    .tensors
+                    .remove(id)
+                    .ok_or_else(|| RunError::Driver(format!("free of unmapped tensor {id}")))?;
+                self.allocator.free(block, &mut self.events);
+                forward_events(
+                    &mut self.events,
+                    &mut self.runtime,
+                    backend,
+                    self.st.clock.now(),
+                );
+            }
+            Some(Step::Kernel(k)) => {
+                if !self.launch(k, backend, scope)? {
+                    return Ok(StepOutcome::Ran { kernel: false });
+                }
+                kernel = true;
+            }
+            None => {
+                return Err(RunError::Driver(format!(
+                    "step index {} out of bounds",
+                    self.st.step
+                )))
+            }
+        }
+
+        self.st.step += 1;
+        if self.st.step == workload.steps.len() {
+            let elapsed = self.st.clock.now() - self.st.t0;
+            let c = scope.counters(backend);
+            self.st.iters.push(IterStats {
+                elapsed,
+                compute: self.st.compute,
+                stall: self.st.stall,
+                counters: c.delta_since(&self.st.c0),
+            });
+            self.st.iter += 1;
+            self.st.step = 0;
+            self.st.t0 = self.st.clock.now();
+            self.st.c0 = c;
+            self.st.compute = Ns::ZERO;
+            self.st.stall = Ns::ZERO;
+            self.st.gather_cache.clear();
+            if self.st.iter >= self.cfg.iterations {
+                self.finish();
+            }
+        }
+        Ok(StepOutcome::Ran { kernel })
+    }
+
+    /// Marks the run complete and records the ECC hits it absorbed.
+    fn finish(&mut self) {
+        if let (Some(rec), Some(inj)) = (self.recovery.as_mut(), self.injector.as_ref()) {
+            rec.ecc_poisonings = inj.borrow().ecc_hits();
+        }
+        self.done = true;
+    }
+
+    /// Emits a trace event stamped with the run's clock.
+    fn trace(&self, event: TraceEvent) {
+        emit(&self.cfg.tracer, self.st.clock.now(), event);
+    }
+
+    /// Launches one kernel. Returns false when a hard fault rewound the
+    /// run to a checkpoint instead.
+    fn launch<B, S>(&mut self, k: &KernelStep, backend: &mut B, scope: &S) -> Result<bool, RunError>
+    where
+        B: UmBackend + LaunchObserver,
+        S: RunScope<B>,
+    {
+        // A scheduled device reset fires at this launch's sequence
+        // number, before the kernel runs.
+        let seq = self.st.kernel_seq;
+        let reset = self
+            .injector
+            .as_ref()
+            .is_some_and(|inj| inj.borrow_mut().take_scheduled_reset(seq));
+        if reset {
+            self.trace(TraceEvent::InjectedFault {
+                kind: InjectKind::DeviceReset,
+            });
+            self.recover("scheduled device reset", backend, scope)?;
+            return Ok(false);
+        }
+        if self.cadence.is_some() {
+            let entry = JournalEntry {
+                seq,
+                iter: self.st.iter as u64,
+                step: self.st.step as u64,
+            };
+            // A full journal means too much un-checkpointed work: force
+            // checkpoints until one evicts enough to record the entry.
+            // After a full ring of them every generation's mark is this
+            // seq, so the journal is empty.
+            let mut forced = 0;
+            while !self.journal.record(entry) {
+                if forced == DEFAULT_RING_DEPTH {
+                    return Err(RunError::Driver(
+                        "launch journal rejected an entry after a full ring of checkpoints".into(),
+                    ));
+                }
+                self.take_checkpoint(backend)?;
+                forced += 1;
+            }
+        }
+        let launch = build_launch(
+            k,
+            &self.st.tensors,
+            &mut self.st.gather_cache,
+            &mut self.st.rng,
+            &self.cfg.perf,
+        )?;
+        let (_exec, intercept) = self.runtime.launch(self.st.clock.now(), &launch, backend);
+        self.st.clock.advance(intercept);
+        if let Some(inj) = &self.injector {
+            let delay = inj.borrow_mut().roll_launch_delay();
+            if let Some(delay) = delay {
+                self.trace(TraceEvent::InjectedFault {
+                    kind: InjectKind::LaunchDelay,
+                });
+                self.st.clock.advance(delay);
+            }
+        }
+        self.trace(TraceEvent::KernelBegin {
+            seq,
+            name: launch.name.to_string(),
+        });
+        match self
+            .engine
+            .execute(&launch, &mut self.st.clock, backend, &mut self.st.energy)
+        {
+            Ok(stats) => {
+                self.st.compute += stats.compute;
+                self.st.stall += stats.stall;
+                self.trace(TraceEvent::KernelEnd {
+                    seq,
+                    faults: stats.faults,
+                    stall_ns: stats.stall.as_nanos(),
+                });
+            }
+            Err(EngineError::Backend(BackendError::DriverCrash)) => {
+                self.trace(TraceEvent::InjectedFault {
+                    kind: InjectKind::DriverCrash,
+                });
+                self.recover("driver crash during fault drain", backend, scope)?;
+                return Ok(false);
+            }
+            Err(e) => return Err(engine_error(e)),
+        }
+        self.st.kernel_seq += 1;
+        if let Some(every) = self.cadence {
+            if self.st.kernel_seq.is_multiple_of(every) {
+                self.checkpoint_due = true;
+            }
+        }
+        Ok(true)
+    }
+
+    fn alloc_tensor<B: LaunchObserver>(
+        &mut self,
+        id: TensorId,
+        bytes: u64,
+        backend: &mut B,
+    ) -> Result<(), RunError> {
+        let (block, range) = self
+            .allocator
+            .alloc(bytes, &mut self.runtime, &mut self.events)
+            .map_err(|e| alloc_error(e, &format!("tensor {id}")))?;
+        self.st.tensors.insert(id, (block, range));
+        forward_events(
+            &mut self.events,
+            &mut self.runtime,
+            backend,
+            self.st.clock.now(),
+        );
+        Ok(())
+    }
+
+    fn take_checkpoint<B: UmBackend>(&mut self, backend: &B) -> Result<(), RunError> {
+        self.checkpoint_due = false;
+        let backend_image = backend.snapshot_state().ok_or_else(|| {
+            RunError::Unsupported(format!(
+                "{} backend does not support checkpointing, \
+                 required by the hard-fault plan",
+                self.system
+            ))
+        })?;
+        let runtime_image = self.runtime.snapshot();
+        let allocator_image = self.allocator.snapshot();
+        // The reported checkpoint size keeps its pre-ring lens — the
+        // component images — so crash-free traces stay byte-stable.
+        let section_bytes =
+            u64_from_usize(backend_image.len() + runtime_image.len() + allocator_image.len());
+        let mut image = encode_checkpoint(
+            &self.st,
+            &backend_image,
+            &runtime_image,
+            &allocator_image,
+            &self.engine.snapshot(),
+        );
+        // A scheduled or sampled storage fault damages the image
+        // *silently*, like a real torn write; nothing notices until a
+        // restore validates the envelope.
+        if let Some(inj) = &self.injector {
+            let corruption = inj
+                .borrow_mut()
+                .take_ckpt_corruption(u64_from_usize(image.len()));
+            if let Some(c) = corruption {
+                c.apply(&mut image);
+            }
+        }
+        self.ring.store(Generation {
+            image,
+            journal_mark: self.st.kernel_seq,
+            extra: self
+                .injector
+                .as_ref()
+                .map(|i| i.borrow().transient_snapshot()),
+        });
+        if let Some(rec) = self.recovery.as_mut() {
+            rec.checkpoints += 1;
+            rec.snapshot_bytes = section_bytes;
+        }
+        self.trace(TraceEvent::Checkpoint {
+            bytes: section_bytes,
+        });
+        // Journal entries older than the oldest retained generation can
+        // never be replayed again.
+        if let Some(mark) = self.ring.oldest_mark() {
+            self.journal.evict_before(mark);
+        }
+        Ok(())
+    }
+
+    /// Rewinds the whole run to the newest restorable checkpoint
+    /// generation after a hard fault and charges the downtime (reset
+    /// penalty + demand-only refill of the scope's restored resident
+    /// set) to the recovery report, out of band of the simulation clock
+    /// so recovered runs stay byte-comparable to uninterrupted ones.
+    ///
+    /// The ring is walked newest-first: a generation whose stored image
+    /// fails its envelope checksum (torn write, truncation, bit flip) is
+    /// traced as [`TraceEvent::CheckpointCorrupt`] and the next-older one
+    /// is tried, replaying a correspondingly longer journal segment.
+    /// Every generation failing surfaces the typed
+    /// [`RunError::AllCheckpointsCorrupt`].
+    fn recover<B, S>(&mut self, reason: &str, backend: &mut B, scope: &S) -> Result<(), RunError>
+    where
+        B: UmBackend,
+        S: RunScope<B>,
+    {
+        let Some(rec) = self.recovery.as_mut() else {
+            return Err(RunError::Recovery(format!(
+                "{reason} without checkpointing"
+            )));
+        };
+        rec.restores += 1;
+        if rec.restores > MAX_RESTORES {
+            return Err(RunError::Recovery(format!(
+                "gave up after {MAX_RESTORES} restores (last hard fault: {reason})"
+            )));
+        }
+        // Corrupt-generation events are stamped at crash time; the clock
+        // has not been rewound yet.
+        let crash_now = self.st.clock.now();
+        let UmRun {
+            ring,
+            runtime,
+            allocator,
+            engine,
+            cfg,
+            ..
+        } = self;
+        let restored = ring.restore_with(
+            |generation| {
+                try_restore_image(&generation.image, backend, runtime, allocator, engine)
+                    .map(|state| (state, generation.journal_mark, generation.extra.clone()))
+            },
+            |index, _err| {
+                emit(
+                    &cfg.tracer,
+                    crash_now,
+                    TraceEvent::CheckpointCorrupt { generation: index },
+                );
             },
         );
-    }
+        let (generation, (state, mark, transient)) = match restored {
+            Ok(ok) => ok,
+            Err(RecoveryError::NoCheckpoint) => {
+                return Err(RunError::Recovery(format!(
+                    "{reason} before the first checkpoint"
+                )))
+            }
+            Err(RecoveryError::AllCheckpointsCorrupt { generations }) => {
+                return Err(RunError::AllCheckpointsCorrupt { generations })
+            }
+        };
 
-    // The reset wiped device memory: every page the checkpoint had
-    // resident comes back over PCIe at demand-paging granularity before
-    // the replay reaches steady state.
-    let refill = costs.transfer_time(backend.resident_pages() * PAGE_SIZE as u64);
-    rec.downtime_ns = rec
-        .downtime_ns
-        .saturating_add(plan.reset_penalty.as_nanos())
-        .saturating_add(refill.as_nanos());
-    Ok(replayed)
+        let replayed = u64_from_usize(self.journal.since(mark));
+        self.journal.truncate_to(mark);
+        self.st = state;
+        if let (Some(inj), Some(tr)) = (&self.injector, &transient) {
+            inj.borrow_mut().restore_transient(tr);
+        }
+        if generation > 0 {
+            self.fallback_generations += generation;
+            self.trace(TraceEvent::RecoveryFellBack {
+                generations: generation,
+                replayed,
+            });
+        }
+
+        // The reset wiped device memory: every page the checkpoint had
+        // resident comes back over PCIe at demand-paging granularity
+        // before the replay reaches steady state.
+        let refill = self
+            .cfg
+            .costs
+            .transfer_time(scope.resident_pages(backend) * PAGE_SIZE as u64);
+        if let Some(rec) = self.recovery.as_mut() {
+            rec.replay_kernels += replayed;
+            rec.downtime_ns = rec
+                .downtime_ns
+                .saturating_add(self.cfg.plan.reset_penalty.as_nanos())
+                .saturating_add(refill.as_nanos());
+        }
+        self.trace(TraceEvent::Restored { replayed });
+        Ok(())
+    }
 }
 
 /// Runs `workload` against `backend` (naive UM, DeepUM, or an ablation).
@@ -458,453 +1072,26 @@ where
     B: UmBackend + LaunchObserver,
     F: Fn(&B) -> Counters,
 {
-    let mut runtime = CudaRuntime::with_intercept_cost(
-        cfg.costs.host_memory_bytes,
-        cfg.costs.launch_intercept_cost,
-    );
-    let mut allocator = CachingAllocator::new();
-    let mut engine = GpuEngine::new();
-    let clock = SimClock::new();
-    let energy = EnergyMeter::new();
-    let rng = DetRng::seed(cfg.seed);
-
-    // An empty plan installs no injector at all, keeping the run
-    // bit-identical to one that never heard of fault injection.
-    let injector = if cfg.plan.is_empty() {
-        None
-    } else {
-        Some(cfg.plan.build_shared())
-    };
-    if let Some(inj) = &injector {
-        backend.install_injector(inj.clone());
-        engine.set_injector(inj.clone());
-    }
-    engine.set_validate_after_drain(cfg.validate_after_drain);
-    if let Some(tr) = &cfg.tracer {
-        backend.install_tracer(tr.clone());
-        engine.set_tracer(tr.clone());
-    }
-
-    let mut tensors: TensorMap = HashMap::new();
-    let mut events = Vec::new();
-
-    // Persistent tensors are allocated once, before the first iteration.
-    for spec in &workload.persistent {
-        alloc_tensor(
-            spec.id,
-            spec.bytes,
-            &mut allocator,
-            &mut runtime,
-            backend,
-            &mut tensors,
-            &mut events,
-            clock.now(),
-        )?;
-    }
-
-    // Checkpointing is active when hard faults can happen or the config
-    // asked for it; otherwise the loop below is behaviorally identical
-    // to a plain nested iteration/step walk.
-    let cadence = cfg.checkpoint_cadence();
-    let mut recovery = cadence.map(|_| RecoveryReport::default());
-    let mut ring: CheckpointRing<Option<TransientInjectorState>> =
-        CheckpointRing::new(DEFAULT_RING_DEPTH);
-    let mut checkpoint_due = cadence.is_some();
-    let mut journal = LaunchJournal::new(JOURNAL_CAPACITY);
-    // Extra generations consumed by restores skipping corrupt images.
-    let mut fallback_generations = 0u64;
-
-    let mut st = LoopState {
-        t0: clock.now(),
-        c0: counters(backend),
-        clock,
-        energy,
-        rng,
-        tensors,
-        // Gather samples are stable within an iteration (forward lookup
-        // and backward update touch the same rows) and resampled across
-        // iterations (fresh minibatch).
-        gather_cache: HashMap::new(),
-        iters: Vec::with_capacity(cfg.iterations),
-        iter: 0,
-        step: 0,
-        compute: Ns::ZERO,
-        stall: Ns::ZERO,
-        kernel_seq: 0,
-    };
-
-    while st.iter < cfg.iterations {
-        // Checkpoints land on kernel boundaries: the position (iter,
-        // step) plus the component images fully determine the rest of
-        // the run.
-        if checkpoint_due {
-            checkpoint_due = false;
-            let backend_image = backend.snapshot_state().ok_or_else(|| {
-                RunError::Unsupported(format!(
-                    "{system} backend does not support checkpointing, \
-                     required by the hard-fault plan"
-                ))
-            })?;
-            let runtime_image = runtime.snapshot();
-            let allocator_image = allocator.snapshot();
-            // The reported checkpoint size keeps its pre-ring lens — the
-            // component images — so crash-free traces stay byte-stable.
-            let section_bytes =
-                u64_from_usize(backend_image.len() + runtime_image.len() + allocator_image.len());
-            let mut image = encode_checkpoint(
-                &st,
-                &backend_image,
-                &runtime_image,
-                &allocator_image,
-                &engine.snapshot(),
-            );
-            // A scheduled or sampled storage fault damages the image
-            // *silently*, like a real torn write; nothing notices until
-            // a restore validates the envelope.
-            if let Some(inj) = &injector {
-                if let Some(c) = inj
-                    .borrow_mut()
-                    .take_ckpt_corruption(u64_from_usize(image.len()))
-                {
-                    c.apply(&mut image);
-                }
-            }
-            ring.store(Generation {
-                image,
-                journal_mark: st.kernel_seq,
-                extra: injector.as_ref().map(|i| i.borrow().transient_snapshot()),
-            });
-            if let Some(rec) = recovery.as_mut() {
-                rec.checkpoints += 1;
-                rec.snapshot_bytes = section_bytes;
-            }
-            emit(
-                &cfg.tracer,
-                st.clock.now(),
-                TraceEvent::Checkpoint {
-                    bytes: section_bytes,
-                },
-            );
-            // Journal entries older than the oldest retained generation
-            // can never be replayed again.
-            if let Some(mark) = ring.oldest_mark() {
-                journal.evict_before(mark);
-            }
-        }
-
-        match &workload.steps[st.step] {
-            Step::Alloc(spec) => {
-                alloc_tensor(
-                    spec.id,
-                    spec.bytes,
-                    &mut allocator,
-                    &mut runtime,
-                    backend,
-                    &mut st.tensors,
-                    &mut events,
-                    st.clock.now(),
-                )?;
-            }
-            Step::Free(id) => {
-                let (block, _) = st.tensors.remove(id).expect("free of unmapped tensor");
-                allocator.free(block, &mut events);
-                forward_events(&mut events, &mut runtime, backend, st.clock.now());
-            }
-            Step::Kernel(k) => {
-                // A scheduled device reset fires at this launch's global
-                // sequence number, before the kernel runs.
-                let reset = injector
-                    .as_ref()
-                    .is_some_and(|inj| inj.borrow_mut().take_scheduled_reset(st.kernel_seq));
-                if reset {
-                    emit(
-                        &cfg.tracer,
-                        st.clock.now(),
-                        TraceEvent::InjectedFault {
-                            kind: InjectKind::DeviceReset,
-                        },
-                    );
-                    if ring.is_empty() {
-                        return Err(RunError::Recovery(
-                            "device reset before the first checkpoint".into(),
-                        ));
-                    }
-                    let rec = recovery.as_mut().expect("recovery active with injector");
-                    let replayed = recover(
-                        &ring,
-                        &mut st,
-                        backend,
-                        &mut runtime,
-                        &mut allocator,
-                        &mut engine,
-                        injector.as_ref(),
-                        &cfg.plan,
-                        &cfg.costs,
-                        &mut journal,
-                        rec,
-                        &mut fallback_generations,
-                        &cfg.tracer,
-                        "scheduled device reset",
-                    )?;
-                    emit(
-                        &cfg.tracer,
-                        st.clock.now(),
-                        TraceEvent::Restored { replayed },
-                    );
-                    continue;
-                }
-                // A full journal means too much un-checkpointed work:
-                // force a checkpoint, then retry this step.
-                if cadence.is_some()
-                    && !journal.record(JournalEntry {
-                        seq: st.kernel_seq,
-                        iter: st.iter as u64,
-                        step: st.step as u64,
-                    })
-                {
-                    checkpoint_due = true;
-                    continue;
-                }
-                let launch = build_launch(
-                    k,
-                    workload,
-                    &st.tensors,
-                    &mut st.gather_cache,
-                    &mut st.rng,
-                    &cfg.perf,
-                );
-                let (_exec, intercept) = runtime.launch(st.clock.now(), &launch, backend);
-                st.clock.advance(intercept);
-                if let Some(inj) = &injector {
-                    if let Some(delay) = inj.borrow_mut().roll_launch_delay() {
-                        emit(
-                            &cfg.tracer,
-                            st.clock.now(),
-                            TraceEvent::InjectedFault {
-                                kind: InjectKind::LaunchDelay,
-                            },
-                        );
-                        st.clock.advance(delay);
-                    }
-                }
-                emit(
-                    &cfg.tracer,
-                    st.clock.now(),
-                    TraceEvent::KernelBegin {
-                        seq: st.kernel_seq,
-                        name: launch.name.to_string(),
-                    },
-                );
-                match engine.execute(&launch, &mut st.clock, backend, &mut st.energy) {
-                    Ok(stats) => {
-                        st.compute += stats.compute;
-                        st.stall += stats.stall;
-                        emit(
-                            &cfg.tracer,
-                            st.clock.now(),
-                            TraceEvent::KernelEnd {
-                                seq: st.kernel_seq,
-                                faults: stats.faults,
-                                stall_ns: stats.stall.as_nanos(),
-                            },
-                        );
-                    }
-                    Err(EngineError::Backend(BackendError::DriverCrash)) => {
-                        emit(
-                            &cfg.tracer,
-                            st.clock.now(),
-                            TraceEvent::InjectedFault {
-                                kind: InjectKind::DriverCrash,
-                            },
-                        );
-                        if ring.is_empty() {
-                            return Err(RunError::Recovery(
-                                "driver crash before the first checkpoint".into(),
-                            ));
-                        }
-                        let rec = recovery.as_mut().expect("recovery active with injector");
-                        let replayed = recover(
-                            &ring,
-                            &mut st,
-                            backend,
-                            &mut runtime,
-                            &mut allocator,
-                            &mut engine,
-                            injector.as_ref(),
-                            &cfg.plan,
-                            &cfg.costs,
-                            &mut journal,
-                            rec,
-                            &mut fallback_generations,
-                            &cfg.tracer,
-                            "driver crash during fault drain",
-                        )?;
-                        emit(
-                            &cfg.tracer,
-                            st.clock.now(),
-                            TraceEvent::Restored { replayed },
-                        );
-                        continue;
-                    }
-                    // One kernel pinned more pages than the device holds:
-                    // no eviction order fixes that, so surface the typed
-                    // terminal error instead of looping on faults.
-                    Err(EngineError::Backend(BackendError::CapacityExceeded {
-                        needed_pages,
-                        capacity_pages,
-                    })) => {
-                        return Err(RunError::WorkingSetExceedsDevice {
-                            needed_pages,
-                            capacity_pages,
-                        })
-                    }
-                    Err(e) => return Err(RunError::Driver(e.to_string())),
-                }
-                st.kernel_seq += 1;
-                if let Some(every) = cadence {
-                    if st.kernel_seq.is_multiple_of(every) {
-                        checkpoint_due = true;
-                    }
-                }
-            }
-        }
-
-        st.step += 1;
-        if st.step == workload.steps.len() {
-            let elapsed = st.clock.now() - st.t0;
-            st.iters.push(IterStats {
-                elapsed,
-                compute: st.compute,
-                stall: st.stall,
-                counters: counters(backend).delta_since(&st.c0),
-            });
-            st.iter += 1;
-            st.step = 0;
-            st.t0 = st.clock.now();
-            st.c0 = counters(backend);
-            st.compute = Ns::ZERO;
-            st.stall = Ns::ZERO;
-            st.gather_cache.clear();
-        }
-    }
-
-    if let (Some(rec), Some(inj)) = (recovery.as_mut(), injector.as_ref()) {
-        rec.ecc_poisonings = inj.borrow().ecc_hits();
-    }
-
-    // The health section appears when anything robustness-related
-    // happened: transient faults were injectable, or the backend
-    // degraded. A purely hard-fault plan leaves it out so such runs stay
-    // byte-identical to plan-free ones (modulo the recovery section).
-    let backend_health = backend.health();
-    let health = if cfg.plan.has_transients() || backend_health != BackendHealth::default() {
-        Some(HealthReport {
-            injected: injector
-                .as_ref()
-                .map(|i| *i.borrow().stats())
-                .unwrap_or_default(),
-            backend: backend_health,
-        })
-    } else {
-        None
-    };
-
-    // The wear section appears when the device actually wore (a page
-    // was retired) or a restore fell back past a corrupt generation;
-    // otherwise it is omitted and the report stays byte-identical to
-    // pre-wear builds.
-    let wear_stats = backend.wear();
-    let wear = if wear_stats.is_some() || fallback_generations > 0 {
-        Some(WearReport {
-            retired_pages: wear_stats.map_or(0, |w| w.retired_pages),
-            remigrations: wear_stats.map_or(0, |w| w.remigrated_pages),
-            recovery_generations: fallback_generations,
-        })
-    } else {
-        None
-    };
-
-    Ok(RunReport {
-        workload: workload.name.clone(),
-        system: system.into(),
-        total: st.clock.now(),
-        energy_joules: st.energy.joules(),
-        iters: st.iters,
-        counters: counters(backend),
-        table_bytes: None,
-        health,
-        recovery,
-        trace: cfg.tracer.as_ref().map(|t| t.borrow_mut().report()),
-        pressure: backend.pressure().map(|s| PressureReport {
-            final_level: s.level,
-            peak_score_pct: s.peak_score_pct,
-            refaults: s.refaults,
-            cooldown_skips: s.cooldown_skips,
-            level_changes: s.level_changes,
-            window_resizes: s.window_resizes,
-        }),
-        tenants: None,
-        serving: None,
-        wear,
-    })
-}
-
-type TensorMap = HashMap<TensorId, (deepum_torch::alloc::PtBlockId, ByteRange)>;
-
-#[allow(clippy::too_many_arguments)]
-fn alloc_tensor<B: LaunchObserver>(
-    id: TensorId,
-    bytes: u64,
-    allocator: &mut CachingAllocator,
-    runtime: &mut CudaRuntime,
-    backend: &mut B,
-    tensors: &mut TensorMap,
-    events: &mut Vec<PtEvent>,
-    now: Ns,
-) -> Result<(), RunError> {
-    let (block, range) = allocator
-        .alloc(bytes, runtime, events)
-        .map_err(|e| match e {
-            AllocError::OutOfMemory { requested } => RunError::OutOfMemory(format!(
-                "tensor {id} of {requested} bytes exceeds the UM backing store"
-            )),
-            AllocError::ZeroSize => RunError::Unsupported("zero-size tensor".into()),
-        })?;
-    tensors.insert(id, (block, range));
-    forward_events(events, runtime, backend, now);
-    Ok(())
-}
-
-/// Drains allocator events into driver notifications.
-fn forward_events<B: LaunchObserver>(
-    events: &mut Vec<PtEvent>,
-    runtime: &mut CudaRuntime,
-    backend: &mut B,
-    now: Ns,
-) {
-    for event in events.drain(..) {
-        match event {
-            PtEvent::Active(range) => runtime.notify_pt_block(now, range, false, backend),
-            PtEvent::Inactive(range) => runtime.notify_pt_block(now, range, true, backend),
-            PtEvent::Released(range) => backend.on_um_range_released(now, range),
-        }
-    }
+    let mut run = UmRun::new(system, cfg.clone(), 0, backend);
+    while let StepOutcome::Ran { .. } = run.step(workload, backend, &counters) {}
+    run.into_report(workload, backend, &counters)
 }
 
 /// Converts a kernel step into a concrete launch with block accesses.
 fn build_launch(
-    k: &deepum_torch::step::KernelStep,
-    workload: &Workload,
+    k: &KernelStep,
     tensors: &TensorMap,
-    gather_cache: &mut HashMap<TensorId, Vec<BlockAccess>>,
+    gather_cache: &mut BTreeMap<TensorId, Vec<BlockAccess>>,
     rng: &mut DetRng,
     perf: &PerfModel,
-) -> KernelLaunch {
+) -> Result<KernelLaunch, RunError> {
     let mut accesses = Vec::new();
     let mut bytes = 0u64;
     for (ids, kind) in [(&k.reads, AccessKind::Read), (&k.writes, AccessKind::Write)] {
         for id in ids {
-            let (_, range) = tensors[id];
+            let (_, range) = tensors
+                .get(id)
+                .ok_or_else(|| RunError::Driver(format!("kernel reads unmapped tensor {id}")))?;
             bytes += range.len();
             for (block, mask) in range.block_footprints() {
                 accesses.push(BlockAccess::new(block, mask, kind));
@@ -912,31 +1099,37 @@ fn build_launch(
         }
     }
     for g in &k.gathers {
-        let sample = gather_cache
-            .entry(g.table)
-            .or_insert_with(|| sample_gather(g, tensors, rng));
+        let sample = match gather_cache.entry(g.table) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(sample_gather(g, tensors, rng)?),
+        };
         bytes += sample
             .iter()
             .map(|a| a.pages.count() as u64 * PAGE_SIZE as u64)
             .sum::<u64>();
         accesses.extend(sample.iter().cloned());
     }
-    let _ = workload;
-    KernelLaunch::new(
+    Ok(KernelLaunch::new(
         k.name.clone(),
         &k.args,
         accesses,
         perf.kernel_time(k.flops, bytes),
-    )
+    ))
 }
 
 /// Samples the pages touched by a gather: `lookups` skewed random rows of
-/// the table, merged into per-block page masks.
-fn sample_gather(g: &GatherAccess, tensors: &TensorMap, rng: &mut DetRng) -> Vec<BlockAccess> {
-    let (_, range) = tensors[&g.table];
+/// the table, merged into per-block page masks in block order.
+fn sample_gather(
+    g: &GatherAccess,
+    tensors: &TensorMap,
+    rng: &mut DetRng,
+) -> Result<Vec<BlockAccess>, RunError> {
+    let (_, range) = tensors
+        .get(&g.table)
+        .ok_or_else(|| RunError::Driver(format!("gather of unmapped table {}", g.table)))?;
     let rows = range.len() / g.row_bytes as u64;
     if rows == 0 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let mut blocks: HashMap<BlockNum, PageMask> = HashMap::new();
     for _ in 0..g.lookups {
@@ -948,7 +1141,7 @@ fn sample_gather(g: &GatherAccess, tensors: &TensorMap, rng: &mut DetRng) -> Vec
         let byte = range.start().raw() + row * g.row_bytes as u64;
         // A row may span two pages; touching its first page captures the
         // access pattern at fault granularity.
-        let addr = deepum_mem::UmAddr::new(byte);
+        let addr = UmAddr::new(byte);
         blocks
             .entry(addr.block())
             .or_insert_with(PageMask::empty)
@@ -956,9 +1149,10 @@ fn sample_gather(g: &GatherAccess, tensors: &TensorMap, rng: &mut DetRng) -> Vec
     }
     let mut out: Vec<(BlockNum, PageMask)> = blocks.into_iter().collect();
     out.sort_unstable_by_key(|(b, _)| *b);
-    out.into_iter()
+    Ok(out
+        .into_iter()
         .map(|(b, m)| BlockAccess::new(b, m, AccessKind::Read))
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -969,6 +1163,7 @@ mod tests {
     use deepum_core::driver::DeepumDriver;
     use deepum_mem::BLOCK_SIZE;
     use deepum_torch::models::ModelKind;
+    use deepum_torch::step::TensorSpec;
 
     fn tiny_costs(device_mb: u64, host_mb: u64) -> CostModel {
         CostModel::v100_32gb()
@@ -1056,11 +1251,80 @@ mod tests {
             row_bytes: 512,
             skew: 1.05,
         };
-        let a = sample_gather(&g, &tensors, &mut DetRng::seed(9));
-        let b = sample_gather(&g, &tensors, &mut DetRng::seed(9));
+        let a = sample_gather(&g, &tensors, &mut DetRng::seed(9)).unwrap();
+        let b = sample_gather(&g, &tensors, &mut DetRng::seed(9)).unwrap();
         assert_eq!(a, b);
         assert!(!a.is_empty());
         // Skew concentrates mass near the start of the table.
         assert_eq!(a[0].block, BlockNum::new(0));
+    }
+
+    /// One iteration of a hand-built program under naive UM on a small
+    /// platform.
+    fn run_program(
+        persistent: Vec<TensorSpec>,
+        steps: Vec<Step>,
+        checkpoint_every: Option<u64>,
+    ) -> Result<RunReport, RunError> {
+        let w = Workload {
+            name: "hand-built".into(),
+            model: "hand-built".into(),
+            batch: 1,
+            persistent,
+            steps,
+        };
+        let cfg = UmRunConfig {
+            costs: tiny_costs(64, 1024),
+            checkpoint_every,
+            ..UmRunConfig::new(1)
+        };
+        let mut backend = NaiveUm::new(cfg.costs.clone());
+        run_um(&w, &mut backend, "um", &cfg, |b| b.counters())
+    }
+
+    fn weights() -> TensorSpec {
+        TensorSpec {
+            id: TensorId(0),
+            bytes: BLOCK_SIZE as u64,
+        }
+    }
+
+    fn kernel(name: &str, reads: Vec<TensorId>) -> KernelStep {
+        KernelStep {
+            name: name.into(),
+            args: Vec::new(),
+            reads,
+            writes: Vec::new(),
+            gathers: Vec::new(),
+            flops: 1e6,
+        }
+    }
+
+    /// A cadence longer than the journal: at seq 256 the journal is full
+    /// while the ring still holds the generation at seq 0, so one forced
+    /// checkpoint evicts nothing and a second (ring now 200, 256, 256)
+    /// frees the entries before seq 200. Checkpoints land at seq 0, 200,
+    /// 256 and 256.
+    #[test]
+    fn a_cadence_longer_than_the_journal_completes() {
+        let steps = (0..300)
+            .map(|_| Step::Kernel(kernel("k", vec![TensorId(0)])))
+            .collect();
+        let r = run_program(vec![weights()], steps, Some(200)).unwrap();
+        assert_eq!(r.counters.kernels_launched, 300);
+        assert_eq!(r.recovery.expect("recovery on").checkpoints, 4);
+    }
+
+    #[test]
+    fn freeing_a_never_allocated_tensor_is_a_typed_error() {
+        let err = run_program(Vec::new(), vec![Step::Free(TensorId(7))], None).unwrap_err();
+        assert!(matches!(err, RunError::Driver(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_kernel_reading_a_never_allocated_tensor_is_a_typed_error() {
+        let step = Step::Kernel(kernel("reads-ghost", vec![TensorId(0), TensorId(9)]));
+        let err = run_program(vec![weights()], vec![step], None).unwrap_err();
+        assert!(matches!(err, RunError::Driver(_)), "{err:?}");
     }
 }

@@ -7,7 +7,9 @@
 //!   run on the [`deepum_gpu::engine::GpuEngine`] against any backend
 //!   implementing `UmBackend + LaunchObserver`. Used by the **naive UM**
 //!   baseline ([`naive::NaiveUm`]) and **DeepUM**
-//!   (`deepum_core::DeepumDriver`).
+//!   (`deepum_core::DeepumDriver`). The pass is one resumable stepper,
+//!   [`executor::um::UmRun`], which the multi-tenant scheduler also
+//!   steps, one per tenant.
 //! * [`executor::swap`] — the tensor-granularity swapping path used by
 //!   the non-UM systems: tensors move whole between device and host on
 //!   an explicit schedule chosen by a [`strategies::SwapStrategy`]:

@@ -1,293 +1,54 @@
-//! One tenant's private stack and its resumable stepper.
+//! One tenant's private stack.
 //!
-//! A [`TenantRun`] owns everything a solo UM-path run owns — DeepUM
-//! driver, interposed CUDA runtime (at a disjoint VA base), caching
-//! allocator, GPU engine, virtual clock, energy meter, RNG, injector,
-//! tracer, and the checkpoint/journal recovery machinery — but executes
-//! its step program incrementally: the scheduler calls
-//! [`TenantRun::step`] while the tenant's kernel slot is open (the
-//! shared UM driver swapped into the tenant's DeepUM driver), and the
-//! stepper performs exactly one unit of work. The loop body mirrors the
-//! solo executor (`deepum_baselines::executor`) step for step, which is
-//! what makes the tenant-isolation differential test meaningful: a
-//! tenant that is never charged by its co-tenants replays the same
-//! event sequence it would produce alone.
+//! A [`TenantRun`] steps the solo executor
+//! ([`deepum_baselines::executor::um::UmRun`]): the scheduler calls
+//! [`TenantRun::step`] while the tenant's kernel slot is open (the shared
+//! UM driver swapped into the tenant's DeepUM driver), and the executor
+//! performs exactly one unit of work. Running the very loop a solo run
+//! runs is what makes the tenant-isolation differential test
+//! meaningful: a tenant that is never charged by its co-tenants replays
+//! the same event sequence it would produce alone.
+//!
+//! What a tenant adds to the solo run is short: its id and spec, the
+//! slot-swapped DeepUM driver, a UM space at the disjoint VA base
+//! `tid × 2^40`, its own export tracer, and a [`RunScope`] that reads
+//! the tenant's ledger (counters and the resident pages a restore
+//! refills) instead of the whole device.
 
-use std::collections::BTreeMap;
-
-use deepum_baselines::report::{IterStats, RunError};
-use deepum_core::ckpt::{CheckpointRing, Generation, RecoveryError, DEFAULT_RING_DEPTH};
+use deepum_baselines::executor::um::{RunScope, UmRun, UmRunConfig};
 use deepum_core::driver::DeepumDriver;
-use deepum_core::recovery::{JournalEntry, LaunchJournal, RecoveryReport};
-use deepum_gpu::engine::{BackendError, EngineError, EngineSnapshot, GpuEngine, UmBackend};
-use deepum_gpu::fault::AccessKind;
-use deepum_gpu::kernel::{BlockAccess, KernelLaunch};
-use deepum_mem::{u64_from_usize, BlockNum, ByteRange, PageMask, TenantId, UmAddr, PAGE_SIZE};
-use deepum_runtime::interpose::CudaRuntime;
-use deepum_sim::clock::SimClock;
+use deepum_mem::TenantId;
 use deepum_sim::costs::CostModel;
-use deepum_sim::energy::EnergyMeter;
-use deepum_sim::faultinject::{SharedInjector, TransientInjectorState};
 use deepum_sim::metrics::Counters;
-use deepum_sim::rng::DetRng;
-use deepum_sim::time::Ns;
-use deepum_torch::alloc::{AllocError, CachingAllocator, PtBlockId, PtEvent};
 use deepum_torch::perf::PerfModel;
-use deepum_torch::step::{GatherAccess, Step, TensorId, Workload};
-use deepum_trace::{shared, InjectKind, SharedTracer, TraceEvent, Tracer};
-use deepum_um::snapshot::{
-    read_counters, write_counters, SnapshotError, SnapshotReader, SnapshotWriter,
-};
+use deepum_torch::step::Workload;
+use deepum_trace::{shared, Tracer};
 
 use crate::spec::TenantSpec;
 
-/// Kernel boundaries the journal holds before a checkpoint is forced.
-const JOURNAL_CAPACITY: usize = 256;
-
-/// Restores a tenant survives before reporting a typed recovery failure.
-const MAX_RESTORES: u64 = 64;
-
-/// Default checkpoint cadence (kernel launches) when the tenant's plan
-/// schedules hard faults.
-const DEFAULT_CHECKPOINT_EVERY: u64 = 8;
+pub use deepum_baselines::executor::um::StepOutcome;
 
 /// Each tenant's UM allocations live in a disjoint 1 TiB region of the
 /// shared driver's virtual address space, so block numbers never
 /// collide across tenants.
 const VA_STRIDE: u64 = 1 << 40;
 
-/// What one [`TenantRun::step`] call accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// One unit of work ran; `kernel` is true when it launched (or
-    /// replay-restored across) a kernel — the unit the scheduler's
-    /// priority quota counts.
-    Ran {
-        /// Whether the unit consumed a kernel slot.
-        kernel: bool,
-    },
-    /// The job already ran to completion; nothing was done.
-    Done,
-    /// The job terminated with an error (see [`TenantRun::error`]).
-    Failed,
-}
+/// The tenant's view of the shared driver: the active slot's counters
+/// plus the DeepUM-side locals, and its own ledger's resident pages
+/// (co-tenant residency survives a tenant-scoped restore).
+struct TenantScope(TenantId);
 
-/// Everything the stepper mutates that lives outside the driver,
-/// runtime, allocator, and engine. Cloning it is the in-memory half of
-/// a checkpoint.
-#[derive(Clone)]
-struct LoopState {
-    clock: SimClock,
-    energy: EnergyMeter,
-    rng: DetRng,
-    tensors: BTreeMap<TensorId, (PtBlockId, ByteRange)>,
-    gather_cache: BTreeMap<TensorId, Vec<BlockAccess>>,
-    iters: Vec<IterStats>,
-    iter: usize,
-    step: usize,
-    t0: Ns,
-    c0: Counters,
-    compute: Ns,
-    stall: Ns,
-    kernel_seq: u64,
-}
-
-/// Serializes a full tenant checkpoint — the component images plus the
-/// loop state — into one self-validating snapshot envelope, the durable
-/// image a [`CheckpointRing`] generation stores. The backend image is a
-/// *tenant-scoped* UM snapshot: restoring it touches only this tenant's
-/// blocks on the shared driver, never a co-tenant's residency. Any
-/// corruption of the stored image is caught by the envelope checksum at
-/// restore time.
-fn encode_checkpoint(
-    st: &LoopState,
-    backend: &[u8],
-    runtime: &[u8],
-    allocator: &[u8],
-    engine: &EngineSnapshot,
-) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    w.blob(backend);
-    w.blob(runtime);
-    w.blob(allocator);
-    let mut eng = Vec::with_capacity(EngineSnapshot::ENCODED_LEN);
-    engine.encode_into(&mut eng);
-    w.blob(&eng);
-    encode_loop_state(st, &mut w);
-    w.finish()
-}
-
-/// Appends the loop state to a checkpoint image. The tensor and gather
-/// maps are `BTreeMap`s, so iteration — and therefore the image — is
-/// byte-stable across runs.
-fn encode_loop_state(st: &LoopState, w: &mut SnapshotWriter) {
-    w.ns(st.clock.now());
-    let (joules_bits, times) = st.energy.accum_state();
-    w.u64(joules_bits);
-    for t in times {
-        w.u64(t);
-    }
-    for word in st.rng.state() {
-        w.u64(word);
+impl RunScope<DeepumDriver> for TenantScope {
+    fn counters(&self, driver: &DeepumDriver) -> Counters {
+        let mut c = driver.um().active_counters();
+        c.merge(&driver.local_counters());
+        c
     }
 
-    w.u64(u64_from_usize(st.tensors.len()));
-    for (id, (block, range)) in &st.tensors {
-        w.u32(id.0);
-        w.u64(block.raw());
-        w.u64(range.start().raw());
-        w.u64(range.len());
-    }
-
-    w.u64(u64_from_usize(st.gather_cache.len()));
-    for (id, accesses) in &st.gather_cache {
-        w.u32(id.0);
-        w.u64(u64_from_usize(accesses.len()));
-        for a in accesses {
-            w.block(a.block);
-            w.mask(&a.pages);
-            w.bool(a.kind == AccessKind::Write);
-        }
-    }
-
-    w.u64(u64_from_usize(st.iters.len()));
-    for i in &st.iters {
-        w.ns(i.elapsed);
-        w.ns(i.compute);
-        w.ns(i.stall);
-        write_counters(&i.counters, w);
-    }
-
-    w.u64(u64_from_usize(st.iter));
-    w.u64(u64_from_usize(st.step));
-    w.ns(st.t0);
-    write_counters(&st.c0, w);
-    w.ns(st.compute);
-    w.ns(st.stall);
-    w.u64(st.kernel_seq);
-}
-
-/// Decodes the loop state written by [`encode_loop_state`].
-fn decode_loop_state(r: &mut SnapshotReader<'_>) -> Result<LoopState, SnapshotError> {
-    let mut clock = SimClock::new();
-    clock.advance_to(r.ns()?);
-    let mut energy = EnergyMeter::new();
-    let joules_bits = r.u64()?;
-    let mut times = [0u64; 4];
-    for t in &mut times {
-        *t = r.u64()?;
-    }
-    energy.restore_accum(joules_bits, times);
-    let mut rng_state = [0u64; 4];
-    for word in &mut rng_state {
-        *word = r.u64()?;
-    }
-    let rng = DetRng::from_state(rng_state);
-
-    let num_tensors = r.len_prefix(4 + 8 + 8 + 8)?;
-    let mut tensors = BTreeMap::new();
-    for _ in 0..num_tensors {
-        let id = TensorId(r.u32()?);
-        let block = PtBlockId::from_raw(r.u64()?);
-        let start = UmAddr::new(r.u64()?);
-        let len = r.u64()?;
-        tensors.insert(id, (block, ByteRange::new(start, len)));
-    }
-
-    let num_gathers = r.len_prefix(4 + 8)?;
-    let mut gather_cache = BTreeMap::new();
-    for _ in 0..num_gathers {
-        let id = TensorId(r.u32()?);
-        let num_accesses = r.len_prefix(8 + 64 + 1)?;
-        let mut accesses = Vec::with_capacity(num_accesses);
-        for _ in 0..num_accesses {
-            let block = r.block()?;
-            let pages = r.mask()?;
-            let kind = if r.bool()? {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            accesses.push(BlockAccess::new(block, pages, kind));
-        }
-        gather_cache.insert(id, accesses);
-    }
-
-    let num_iters = r.len_prefix(8 * 3)?;
-    let mut iters = Vec::with_capacity(num_iters);
-    for _ in 0..num_iters {
-        let elapsed = r.ns()?;
-        let compute = r.ns()?;
-        let stall = r.ns()?;
-        let counters = read_counters(r)?;
-        iters.push(IterStats {
-            elapsed,
-            compute,
-            stall,
-            counters,
-        });
-    }
-
-    let iter = r.u64()? as usize;
-    let step = r.u64()? as usize;
-    let t0 = r.ns()?;
-    let c0 = read_counters(r)?;
-    let compute = r.ns()?;
-    let stall = r.ns()?;
-    let kernel_seq = r.u64()?;
-    Ok(LoopState {
-        clock,
-        energy,
-        rng,
-        tensors,
-        gather_cache,
-        iters,
-        iter,
-        step,
-        t0,
-        c0,
-        compute,
-        stall,
-        kernel_seq,
-    })
-}
-
-/// Restores every tenant component from one stored checkpoint image.
-/// The envelope checksum is verified before anything is mutated, so a
-/// corrupt generation fails cleanly and the caller falls back to an
-/// older one.
-fn try_restore_image(
-    image: &[u8],
-    driver: &mut DeepumDriver,
-    runtime: &mut CudaRuntime,
-    allocator: &mut CachingAllocator,
-    engine: &mut GpuEngine,
-) -> Result<LoopState, String> {
-    let mut r = SnapshotReader::new(image).map_err(|e| e.to_string())?;
-    let backend_image = r.blob().map_err(|e| e.to_string())?;
-    let runtime_image = r.blob().map_err(|e| e.to_string())?;
-    let allocator_image = r.blob().map_err(|e| e.to_string())?;
-    let engine_image = r.blob().map_err(|e| e.to_string())?;
-    UmBackend::restore_state(driver, backend_image)
-        .map_err(|e| format!("backend restore failed: {e}"))?;
-    runtime
-        .restore(runtime_image)
-        .map_err(|e| format!("runtime restore failed: {e}"))?;
-    allocator
-        .restore(allocator_image)
-        .map_err(|e| format!("allocator restore failed: {e}"))?;
-    let engine_snap = EngineSnapshot::decode_from(engine_image)?;
-    engine.restore(&engine_snap);
-    let state = decode_loop_state(&mut r).map_err(|e| e.to_string())?;
-    r.finish().map_err(|e| e.to_string())?;
-    UmBackend::validate(&*driver)
-        .map_err(|e| format!("restored backend failed validation: {e}"))?;
-    Ok(state)
-}
-
-fn emit(tracer: &Option<SharedTracer>, now: Ns, event: TraceEvent) {
-    if let Some(tr) = tracer {
-        tr.borrow_mut().emit(now.as_nanos(), event);
+    fn resident_pages(&self, driver: &DeepumDriver) -> u64 {
+        let um = driver.um();
+        um.tenant_ledger(self.0)
+            .map_or_else(|| um.resident_pages(), |l| l.resident_pages)
     }
 }
 
@@ -301,28 +62,10 @@ pub struct TenantRun {
     /// UM driver; during the tenant's slot the scheduler swaps the
     /// shared UM driver in.
     pub driver: DeepumDriver,
+    /// The solo executor this tenant steps: its clock, tracer, injector,
+    /// outcome and recovery figures.
+    pub run: UmRun,
     workload: Workload,
-    repetitions: usize,
-    runtime: CudaRuntime,
-    allocator: CachingAllocator,
-    engine: GpuEngine,
-    costs: CostModel,
-    perf: PerfModel,
-    injector: Option<SharedInjector>,
-    tracer: Option<SharedTracer>,
-    st: LoopState,
-    events: Vec<PtEvent>,
-    cadence: Option<u64>,
-    recovery: Option<RecoveryReport>,
-    ring: CheckpointRing<Option<TransientInjectorState>>,
-    /// Extra generations this tenant's restores consumed skipping
-    /// corrupt checkpoint images.
-    fallback_generations: u64,
-    checkpoint_due: bool,
-    journal: LaunchJournal,
-    persistent_done: bool,
-    done: bool,
-    error: Option<RunError>,
 }
 
 impl TenantRun {
@@ -331,624 +74,29 @@ impl TenantRun {
     /// allocation) is deferred to [`TenantRun::step`], which only runs
     /// while the shared UM driver is swapped in.
     pub fn new(tid: TenantId, spec: TenantSpec, costs: CostModel, perf: PerfModel) -> Self {
-        let workload = spec.job.workload();
-        let repetitions = spec.job.repetitions();
         let mut driver = DeepumDriver::new(costs.clone(), spec.config.clone());
-        let runtime = CudaRuntime::with_va_base(
-            costs.host_memory_bytes,
-            u64::from(tid.raw()) * VA_STRIDE,
-            costs.launch_intercept_cost,
-        );
-        let mut engine = GpuEngine::new();
-        let injector = if spec.plan.is_empty() {
-            None
-        } else {
-            Some(spec.plan.build_shared())
+        let cfg = UmRunConfig {
+            costs,
+            perf,
+            seed: spec.seed,
+            plan: spec.plan.clone(),
+            tracer: spec.traced.then(|| shared(Tracer::export())),
+            ..UmRunConfig::new(spec.job.repetitions())
         };
-        if let Some(inj) = &injector {
-            UmBackend::install_injector(&mut driver, inj.clone());
-            engine.set_injector(inj.clone());
-        }
-        let tracer = if spec.traced {
-            Some(shared(Tracer::export()))
-        } else {
-            None
-        };
-        if let Some(tr) = &tracer {
-            UmBackend::install_tracer(&mut driver, tr.clone());
-            engine.set_tracer(tr.clone());
-        }
-        let cadence = spec
-            .plan
-            .has_hard_faults()
-            .then_some(DEFAULT_CHECKPOINT_EVERY);
-        let seed = spec.seed;
+        let run = UmRun::new("deepum", cfg, u64::from(tid.raw()) * VA_STRIDE, &mut driver);
         TenantRun {
+            workload: spec.job.workload(),
             spec,
             tid,
             driver,
-            workload,
-            repetitions,
-            runtime,
-            allocator: CachingAllocator::new(),
-            engine,
-            costs,
-            perf,
-            injector,
-            tracer,
-            st: LoopState {
-                clock: SimClock::new(),
-                energy: EnergyMeter::new(),
-                rng: DetRng::seed(seed),
-                tensors: BTreeMap::new(),
-                gather_cache: BTreeMap::new(),
-                iters: Vec::new(),
-                iter: 0,
-                step: 0,
-                t0: Ns::ZERO,
-                c0: Counters::new(),
-                compute: Ns::ZERO,
-                stall: Ns::ZERO,
-                kernel_seq: 0,
-            },
-            events: Vec::new(),
-            recovery: cadence.map(|_| RecoveryReport::default()),
-            cadence,
-            ring: CheckpointRing::new(DEFAULT_RING_DEPTH),
-            fallback_generations: 0,
-            checkpoint_due: cadence.is_some(),
-            journal: LaunchJournal::new(JOURNAL_CAPACITY),
-            persistent_done: false,
-            done: false,
-            error: None,
+            run,
         }
-    }
-
-    /// The tenant's virtual time.
-    pub fn now(&self) -> Ns {
-        self.st.clock.now()
-    }
-
-    /// Advances the tenant's clock (reclaim-debt payment at slot start).
-    pub fn advance_clock(&mut self, delta: Ns) {
-        self.st.clock.advance(delta);
-    }
-
-    /// Whole-stack energy the tenant consumed so far, joules.
-    pub fn energy_joules(&self) -> f64 {
-        self.st.energy.joules()
-    }
-
-    /// The tenant's tracer, if one was installed.
-    pub fn tracer(&self) -> Option<SharedTracer> {
-        self.tracer.clone()
-    }
-
-    /// The tenant's fault injector, if its plan is non-empty.
-    pub fn injector(&self) -> Option<SharedInjector> {
-        self.injector.clone()
-    }
-
-    /// True once the job ran every repetition to completion.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Terminal error, if the job failed.
-    pub fn error(&self) -> Option<&RunError> {
-        self.error.as_ref()
-    }
-
-    /// Terminates the run with a typed error the scheduler observed
-    /// outside a slot (floor revocation after ECC retirement). The
-    /// first error wins; a finished run is left alone.
-    pub fn fail(&mut self, e: RunError) {
-        if self.error.is_none() && !self.done {
-            self.error = Some(e);
-        }
-    }
-
-    /// Extra checkpoint generations this tenant's restores consumed
-    /// skipping corrupt images.
-    pub fn recovery_generations(&self) -> u64 {
-        self.fallback_generations
-    }
-
-    /// Per-iteration statistics accumulated so far.
-    pub fn iters(&self) -> &[IterStats] {
-        &self.st.iters
-    }
-
-    /// Checkpoint/restore summary, when recovery machinery was active.
-    pub fn recovery(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
-    }
-
-    /// Counters scoped to this tenant: the shared driver's active-slot
-    /// view plus the DeepUM-side locals. Meaningful while the tenant's
-    /// slot is open (the scheduler folds the final value from the
-    /// ledger after the last slot closes).
-    pub fn counters(&self) -> Counters {
-        let mut c = self.driver.um().active_counters();
-        c.merge(&self.driver.local_counters());
-        c
     }
 
     /// Performs one unit of work. Must only be called while the
     /// tenant's slot is open on the shared driver.
     pub fn step(&mut self) -> StepOutcome {
-        if self.error.is_some() {
-            return StepOutcome::Failed;
-        }
-        if self.done {
-            return StepOutcome::Done;
-        }
-        match self.try_step() {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.error = Some(e);
-                StepOutcome::Failed
-            }
-        }
+        self.run
+            .step(&self.workload, &mut self.driver, &TenantScope(self.tid))
     }
-
-    fn try_step(&mut self) -> Result<StepOutcome, RunError> {
-        // Persistent tensors are allocated once, as the first unit of
-        // work, exactly like the solo executor's pre-loop allocation.
-        if !self.persistent_done {
-            for spec in &self.workload.persistent.clone() {
-                self.alloc_tensor(spec.id, spec.bytes)?;
-            }
-            self.persistent_done = true;
-            return Ok(StepOutcome::Ran { kernel: false });
-        }
-        if self.st.iter >= self.repetitions {
-            self.done = true;
-            return Ok(StepOutcome::Done);
-        }
-        if self.checkpoint_due {
-            self.take_checkpoint()?;
-        }
-
-        let step = match self.workload.steps.get(self.st.step) {
-            Some(s) => s.clone(),
-            None => {
-                return Err(RunError::Driver(format!(
-                    "step index {} out of bounds",
-                    self.st.step
-                )))
-            }
-        };
-        let mut ran_kernel = false;
-        match &step {
-            Step::Alloc(spec) => {
-                self.alloc_tensor(spec.id, spec.bytes)?;
-            }
-            Step::Free(id) => {
-                let (block, _) = self
-                    .st
-                    .tensors
-                    .remove(id)
-                    .ok_or_else(|| RunError::Driver(format!("free of unmapped tensor {id}")))?;
-                self.allocator.free(block, &mut self.events);
-                self.forward_events();
-            }
-            Step::Kernel(k) => {
-                // A scheduled device reset fires at this launch's
-                // tenant-local sequence number, before the kernel runs.
-                let reset = self
-                    .injector
-                    .as_ref()
-                    .is_some_and(|inj| inj.borrow_mut().take_scheduled_reset(self.st.kernel_seq));
-                if reset {
-                    emit(
-                        &self.tracer,
-                        self.st.clock.now(),
-                        TraceEvent::InjectedFault {
-                            kind: InjectKind::DeviceReset,
-                        },
-                    );
-                    let replayed = self.recover_from("scheduled device reset")?;
-                    emit(
-                        &self.tracer,
-                        self.st.clock.now(),
-                        TraceEvent::Restored { replayed },
-                    );
-                    return Ok(StepOutcome::Ran { kernel: false });
-                }
-                if self.cadence.is_some() {
-                    let entry = JournalEntry {
-                        seq: self.st.kernel_seq,
-                        iter: self.st.iter as u64,
-                        step: self.st.step as u64,
-                    };
-                    // A full journal means too much un-checkpointed
-                    // work: force a checkpoint, then record again.
-                    if !self.journal.record(entry) {
-                        self.checkpoint_due = true;
-                        self.take_checkpoint()?;
-                        if !self.journal.record(entry) {
-                            return Err(RunError::Driver(
-                                "launch journal rejected an entry after a checkpoint".into(),
-                            ));
-                        }
-                    }
-                }
-                let launch = self.build_launch(k)?;
-                let (_exec, intercept) =
-                    self.runtime
-                        .launch(self.st.clock.now(), &launch, &mut self.driver);
-                self.st.clock.advance(intercept);
-                if let Some(inj) = &self.injector {
-                    let delay = inj.borrow_mut().roll_launch_delay();
-                    if let Some(delay) = delay {
-                        emit(
-                            &self.tracer,
-                            self.st.clock.now(),
-                            TraceEvent::InjectedFault {
-                                kind: InjectKind::LaunchDelay,
-                            },
-                        );
-                        self.st.clock.advance(delay);
-                    }
-                }
-                emit(
-                    &self.tracer,
-                    self.st.clock.now(),
-                    TraceEvent::KernelBegin {
-                        seq: self.st.kernel_seq,
-                        name: launch.name.to_string(),
-                    },
-                );
-                match self.engine.execute(
-                    &launch,
-                    &mut self.st.clock,
-                    &mut self.driver,
-                    &mut self.st.energy,
-                ) {
-                    Ok(stats) => {
-                        self.st.compute += stats.compute;
-                        self.st.stall += stats.stall;
-                        emit(
-                            &self.tracer,
-                            self.st.clock.now(),
-                            TraceEvent::KernelEnd {
-                                seq: self.st.kernel_seq,
-                                faults: stats.faults,
-                                stall_ns: stats.stall.as_nanos(),
-                            },
-                        );
-                    }
-                    Err(EngineError::Backend(BackendError::DriverCrash)) => {
-                        emit(
-                            &self.tracer,
-                            self.st.clock.now(),
-                            TraceEvent::InjectedFault {
-                                kind: InjectKind::DriverCrash,
-                            },
-                        );
-                        let replayed = self.recover_from("driver crash during fault drain")?;
-                        emit(
-                            &self.tracer,
-                            self.st.clock.now(),
-                            TraceEvent::Restored { replayed },
-                        );
-                        return Ok(StepOutcome::Ran { kernel: false });
-                    }
-                    Err(EngineError::Backend(BackendError::CapacityExceeded {
-                        needed_pages,
-                        capacity_pages,
-                    })) => {
-                        return Err(RunError::WorkingSetExceedsDevice {
-                            needed_pages,
-                            capacity_pages,
-                        })
-                    }
-                    Err(e) => return Err(RunError::Driver(e.to_string())),
-                }
-                self.st.kernel_seq += 1;
-                ran_kernel = true;
-                if let Some(every) = self.cadence {
-                    if self.st.kernel_seq.is_multiple_of(every) {
-                        self.checkpoint_due = true;
-                    }
-                }
-            }
-        }
-
-        self.st.step += 1;
-        if self.st.step == self.workload.steps.len() {
-            let elapsed = self.st.clock.now() - self.st.t0;
-            let c = self.counters();
-            self.st.iters.push(IterStats {
-                elapsed,
-                compute: self.st.compute,
-                stall: self.st.stall,
-                counters: c.delta_since(&self.st.c0),
-            });
-            self.st.iter += 1;
-            self.st.step = 0;
-            self.st.t0 = self.st.clock.now();
-            self.st.c0 = c;
-            self.st.compute = Ns::ZERO;
-            self.st.stall = Ns::ZERO;
-            self.st.gather_cache.clear();
-            if self.st.iter >= self.repetitions {
-                if let (Some(rec), Some(inj)) = (self.recovery.as_mut(), self.injector.as_ref()) {
-                    rec.ecc_poisonings = inj.borrow().ecc_hits();
-                }
-                self.done = true;
-            }
-        }
-        Ok(StepOutcome::Ran { kernel: ran_kernel })
-    }
-
-    fn take_checkpoint(&mut self) -> Result<(), RunError> {
-        self.checkpoint_due = false;
-        let backend_image = UmBackend::snapshot_state(&self.driver).ok_or_else(|| {
-            RunError::Unsupported(
-                "backend does not support checkpointing, required by the hard-fault plan".into(),
-            )
-        })?;
-        let runtime_image = self.runtime.snapshot();
-        let allocator_image = self.allocator.snapshot();
-        // The reported checkpoint size keeps its pre-ring lens — the
-        // component images — so crash-free traces stay byte-stable.
-        let section_bytes =
-            u64_from_usize(backend_image.len() + runtime_image.len() + allocator_image.len());
-        let mut image = encode_checkpoint(
-            &self.st,
-            &backend_image,
-            &runtime_image,
-            &allocator_image,
-            &self.engine.snapshot(),
-        );
-        // A scheduled or sampled storage fault damages the image
-        // *silently*, like a real torn write; nothing notices until a
-        // restore validates the envelope.
-        if let Some(inj) = &self.injector {
-            if let Some(c) = inj
-                .borrow_mut()
-                .take_ckpt_corruption(u64_from_usize(image.len()))
-            {
-                c.apply(&mut image);
-            }
-        }
-        self.ring.store(Generation {
-            image,
-            journal_mark: self.st.kernel_seq,
-            extra: self
-                .injector
-                .as_ref()
-                .map(|i| i.borrow().transient_snapshot()),
-        });
-        if let Some(rec) = self.recovery.as_mut() {
-            rec.checkpoints += 1;
-            rec.snapshot_bytes = section_bytes;
-        }
-        emit(
-            &self.tracer,
-            self.st.clock.now(),
-            TraceEvent::Checkpoint {
-                bytes: section_bytes,
-            },
-        );
-        // Journal entries older than the oldest retained generation can
-        // never be replayed again.
-        if let Some(mark) = self.ring.oldest_mark() {
-            self.journal.evict_before(mark);
-        }
-        Ok(())
-    }
-
-    /// Rewinds the tenant to the newest restorable checkpoint
-    /// generation after a hard fault. The backend restore is
-    /// tenant-scoped: only this tenant's blocks on the shared driver
-    /// are touched. The ring is walked newest-first: a generation whose
-    /// stored image fails its envelope checksum is traced as
-    /// [`TraceEvent::CheckpointCorrupt`] and the next-older one is
-    /// tried, replaying a correspondingly longer journal segment.
-    /// Returns the journaled kernel count replayed.
-    fn recover_from(&mut self, reason: &str) -> Result<u64, RunError> {
-        let rec = self
-            .recovery
-            .as_mut()
-            .ok_or_else(|| RunError::Recovery("hard fault without recovery machinery".into()))?;
-        rec.restores += 1;
-        if rec.restores > MAX_RESTORES {
-            return Err(RunError::Recovery(format!(
-                "gave up after {MAX_RESTORES} restores (last hard fault: {reason})"
-            )));
-        }
-        // Corrupt-generation events are stamped at crash time; the
-        // clock has not been rewound yet.
-        let crash_now = self.st.clock.now();
-        let TenantRun {
-            ring,
-            driver,
-            runtime,
-            allocator,
-            engine,
-            tracer,
-            ..
-        } = self;
-        let restored = ring.restore_with(
-            |generation| {
-                try_restore_image(&generation.image, driver, runtime, allocator, engine)
-                    .map(|state| (state, generation.journal_mark, generation.extra.clone()))
-            },
-            |index, _err| {
-                emit(
-                    tracer,
-                    crash_now,
-                    TraceEvent::CheckpointCorrupt { generation: index },
-                );
-            },
-        );
-        let (generation, (state, mark, transient)) = match restored {
-            Ok(ok) => ok,
-            Err(RecoveryError::NoCheckpoint) => {
-                return Err(RunError::Recovery(format!(
-                    "{reason} before the first checkpoint"
-                )))
-            }
-            Err(RecoveryError::AllCheckpointsCorrupt { generations }) => {
-                return Err(RunError::AllCheckpointsCorrupt { generations })
-            }
-        };
-
-        let replayed = u64_from_usize(self.journal.since(mark));
-        if let Some(rec) = self.recovery.as_mut() {
-            rec.replay_kernels += replayed;
-        }
-        self.journal.truncate_to(mark);
-        self.st = state;
-        if let (Some(inj), Some(tr)) = (self.injector.as_ref(), &transient) {
-            inj.borrow_mut().restore_transient(tr);
-        }
-        if generation > 0 {
-            self.fallback_generations += generation;
-            emit(
-                &self.tracer,
-                self.st.clock.now(),
-                TraceEvent::RecoveryFellBack {
-                    generations: generation,
-                    replayed,
-                },
-            );
-        }
-
-        // The reset wiped this tenant's device residency; it comes back
-        // over PCIe at demand granularity. Only the tenant's own pages
-        // are charged — co-tenant residency survived the scoped restore.
-        let resident = self
-            .driver
-            .um()
-            .tenant_ledger(self.tid)
-            .map_or_else(|| self.driver.um().resident_pages(), |l| l.resident_pages);
-        let refill = self.costs.transfer_time(resident * PAGE_SIZE as u64);
-        let rec = self
-            .recovery
-            .as_mut()
-            .ok_or_else(|| RunError::Recovery("recovery report vanished mid-restore".into()))?;
-        rec.downtime_ns = rec
-            .downtime_ns
-            .saturating_add(self.spec.plan.reset_penalty.as_nanos())
-            .saturating_add(refill.as_nanos());
-        Ok(replayed)
-    }
-
-    fn alloc_tensor(&mut self, id: TensorId, bytes: u64) -> Result<(), RunError> {
-        let (block, range) = self
-            .allocator
-            .alloc(bytes, &mut self.runtime, &mut self.events)
-            .map_err(|e| match e {
-                AllocError::OutOfMemory { requested } => RunError::OutOfMemory(format!(
-                    "tensor {id} of {requested} bytes exceeds the UM backing store"
-                )),
-                AllocError::ZeroSize => RunError::Unsupported("zero-size tensor".into()),
-            })?;
-        self.st.tensors.insert(id, (block, range));
-        self.forward_events();
-        Ok(())
-    }
-
-    /// Drains allocator events into driver notifications.
-    fn forward_events(&mut self) {
-        let now = self.st.clock.now();
-        for event in self.events.drain(..) {
-            match event {
-                PtEvent::Active(range) => {
-                    self.runtime
-                        .notify_pt_block(now, range, false, &mut self.driver)
-                }
-                PtEvent::Inactive(range) => {
-                    self.runtime
-                        .notify_pt_block(now, range, true, &mut self.driver)
-                }
-                PtEvent::Released(range) => {
-                    deepum_runtime::interpose::LaunchObserver::on_um_range_released(
-                        &mut self.driver,
-                        now,
-                        range,
-                    )
-                }
-            }
-        }
-    }
-
-    /// Converts a kernel step into a concrete launch with block
-    /// accesses (the solo executor's `build_launch`, without panics).
-    fn build_launch(
-        &mut self,
-        k: &deepum_torch::step::KernelStep,
-    ) -> Result<KernelLaunch, RunError> {
-        let mut accesses = Vec::new();
-        let mut bytes = 0u64;
-        for (ids, kind) in [(&k.reads, AccessKind::Read), (&k.writes, AccessKind::Write)] {
-            for id in ids {
-                let (_, range) = self.st.tensors.get(id).ok_or_else(|| {
-                    RunError::Driver(format!("kernel reads unmapped tensor {id}"))
-                })?;
-                bytes += range.len();
-                for (block, mask) in range.block_footprints() {
-                    accesses.push(BlockAccess::new(block, mask, kind));
-                }
-            }
-        }
-        for g in &k.gathers {
-            if !self.st.gather_cache.contains_key(&g.table) {
-                let sample = sample_gather(g, &self.st.tensors, &mut self.st.rng)?;
-                self.st.gather_cache.insert(g.table, sample);
-            }
-            if let Some(sample) = self.st.gather_cache.get(&g.table) {
-                bytes += sample
-                    .iter()
-                    .map(|a| a.pages.count() as u64 * PAGE_SIZE as u64)
-                    .sum::<u64>();
-                accesses.extend(sample.iter().cloned());
-            }
-        }
-        Ok(KernelLaunch::new(
-            k.name.clone(),
-            &k.args,
-            accesses,
-            self.perf.kernel_time(k.flops, bytes),
-        ))
-    }
-}
-
-/// Samples the pages touched by a gather: `lookups` skewed random rows
-/// of the table, merged into per-block page masks. Matches the solo
-/// executor's sampling exactly (same RNG stream, same merge order).
-fn sample_gather(
-    g: &GatherAccess,
-    tensors: &BTreeMap<TensorId, (PtBlockId, ByteRange)>,
-    rng: &mut DetRng,
-) -> Result<Vec<BlockAccess>, RunError> {
-    let (_, range) = tensors
-        .get(&g.table)
-        .ok_or_else(|| RunError::Driver(format!("gather of unmapped table {}", g.table)))?;
-    let rows = range.len() / g.row_bytes as u64;
-    if rows == 0 {
-        return Ok(Vec::new());
-    }
-    let mut blocks: BTreeMap<BlockNum, PageMask> = BTreeMap::new();
-    for _ in 0..g.lookups {
-        let row = if g.skew > 0.0 {
-            rng.zipf_like(rows, g.skew)
-        } else {
-            rng.below(rows)
-        };
-        let byte = range.start().raw() + row * g.row_bytes as u64;
-        let addr = deepum_mem::UmAddr::new(byte);
-        blocks
-            .entry(addr.block())
-            .or_insert_with(PageMask::empty)
-            .set(addr.page().index_in_block());
-    }
-    Ok(blocks
-        .into_iter()
-        .map(|(b, m)| BlockAccess::new(b, m, AccessKind::Read))
-        .collect())
 }

@@ -9,9 +9,10 @@
 //! (advised `PreferredLocation`), virtual-time deadlines, and
 //! retry-with-backoff on injected transient request failures.
 
+use deepum_baselines::executor::um::{alloc_error, engine_error, forward_events};
 use deepum_baselines::report::{EndpointReport, RunError};
 use deepum_core::driver::DeepumDriver;
-use deepum_gpu::engine::{BackendError, EngineError, GpuEngine, UmBackend};
+use deepum_gpu::engine::{GpuEngine, UmBackend};
 use deepum_gpu::fault::AccessKind;
 use deepum_gpu::kernel::{BlockAccess, KernelLaunch};
 use deepum_mem::{ByteRange, TenantId};
@@ -22,7 +23,7 @@ use deepum_sim::energy::EnergyMeter;
 use deepum_sim::faultinject::{InjectionPlan, SharedInjector};
 use deepum_sim::metrics::Counters;
 use deepum_sim::time::Ns;
-use deepum_torch::alloc::{AllocError, CachingAllocator, PtBlockId, PtEvent};
+use deepum_torch::alloc::{CachingAllocator, PtBlockId, PtEvent};
 use deepum_torch::perf::PerfModel;
 use deepum_trace::{shared, ServeLevel, SharedTracer, ShedReason, TraceEvent, Tracer};
 use deepum_um::hints::Advice;
@@ -334,32 +335,23 @@ impl EndpointRun {
                 self.runtime
                     .launch(self.clock.now(), &launch, &mut self.driver);
             self.clock.advance(intercept);
-            match self
-                .engine
-                .execute(&launch, &mut self.clock, &mut self.driver, &mut self.energy)
+            if let Err(e) =
+                self.engine
+                    .execute(&launch, &mut self.clock, &mut self.driver, &mut self.energy)
             {
-                Ok(_stats) => {}
-                Err(EngineError::Backend(BackendError::CapacityExceeded {
-                    needed_pages,
-                    capacity_pages,
-                })) => {
-                    let e = RunError::WorkingSetExceedsDevice {
-                        needed_pages,
-                        capacity_pages,
-                    };
-                    self.error = Some(e.clone());
-                    return Err(e);
-                }
-                Err(e) => {
-                    let e = RunError::Driver(e.to_string());
-                    self.error = Some(e.clone());
-                    return Err(e);
-                }
+                let e = engine_error(e);
+                self.error = Some(e.clone());
+                return Err(e);
             }
         }
 
         self.allocator.free(kv_block, &mut self.events);
-        self.forward_events();
+        forward_events(
+            &mut self.events,
+            &mut self.runtime,
+            &mut self.driver,
+            self.clock.now(),
+        );
 
         let finish = self.clock.now();
         let latency = finish.saturating_sub(arrival);
@@ -445,44 +437,20 @@ impl EndpointRun {
         let out = self
             .allocator
             .alloc(bytes, &mut self.runtime, &mut self.events)
-            .map_err(|e| match e {
-                AllocError::OutOfMemory { requested } => RunError::OutOfMemory(format!(
-                    "endpoint allocation of {requested} bytes exceeds the UM backing store"
-                )),
-                AllocError::ZeroSize => RunError::Unsupported("zero-size allocation".into()),
-            });
+            .map_err(|e| alloc_error(e, "endpoint allocation"));
         match out {
             Ok(pair) => {
-                self.forward_events();
+                forward_events(
+                    &mut self.events,
+                    &mut self.runtime,
+                    &mut self.driver,
+                    self.clock.now(),
+                );
                 Ok(pair)
             }
             Err(e) => {
                 self.error = Some(e.clone());
                 Err(e)
-            }
-        }
-    }
-
-    /// Drains allocator events into driver notifications.
-    fn forward_events(&mut self) {
-        let now = self.clock.now();
-        for event in self.events.drain(..) {
-            match event {
-                PtEvent::Active(range) => {
-                    self.runtime
-                        .notify_pt_block(now, range, false, &mut self.driver)
-                }
-                PtEvent::Inactive(range) => {
-                    self.runtime
-                        .notify_pt_block(now, range, true, &mut self.driver)
-                }
-                PtEvent::Released(range) => {
-                    deepum_runtime::interpose::LaunchObserver::on_um_range_released(
-                        &mut self.driver,
-                        now,
-                        range,
-                    )
-                }
             }
         }
     }

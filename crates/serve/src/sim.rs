@@ -156,7 +156,7 @@ impl ServeSim {
             let tid = TenantId(raw);
             let mut run = TenantRun::new(tid, bspec.clone(), self.costs.clone(), self.perf.clone());
             let governor = run.driver.take_pressure_governor();
-            if let Some(tr) = run.tracer() {
+            if let Some(tr) = run.run.tracer() {
                 tracers.push((raw, tr));
             }
             match shared.register_tenant(
@@ -165,13 +165,13 @@ impl ServeSim {
                 bspec.priority,
                 run.driver.protected_set(),
                 governor,
-                run.tracer(),
-                run.injector(),
+                run.run.tracer(),
+                run.run.injector(),
             ) {
                 Ok(()) => {
                     emit(
-                        &run.tracer(),
-                        run.now(),
+                        &run.run.tracer(),
+                        run.run.now(),
                         TraceEvent::TenantAdmitted {
                             tenant: raw,
                             floor_pages: bspec.floor_pages,
@@ -238,9 +238,9 @@ impl ServeSim {
             }
 
             if let Some(run) = bystander.as_mut() {
-                if !run.is_done() && run.error().is_none() {
+                if !run.run.is_done() && run.run.error().is_none() {
                     Self::bystander_slot(run, &mut shared);
-                    if let Some(e) = run.error() {
+                    if let Some(e) = run.run.error() {
                         errors.push((run.tid.raw(), e.clone()));
                     }
                 }
@@ -290,11 +290,11 @@ impl ServeSim {
         // ---- drain the bystander to completion -----------------------
         if let Some(run) = bystander.as_mut() {
             let mut slots = 0u64;
-            while !run.is_done() && run.error().is_none() && slots < MAX_DRAIN_SLOTS {
+            while !run.run.is_done() && run.run.error().is_none() && slots < MAX_DRAIN_SLOTS {
                 Self::bystander_slot(run, &mut shared);
                 slots += 1;
             }
-            if let Some(e) = run.error() {
+            if let Some(e) = run.run.error() {
                 errors.push((run.tid.raw(), e.clone()));
             }
         }
@@ -328,9 +328,9 @@ impl ServeSim {
         }
         if let Some(run) = bystander.as_mut() {
             counters.merge(&run.driver.local_counters());
-            total = total.max(run.now());
-            energy += run.energy_joules();
-            let now = run.now();
+            total = total.max(run.run.now());
+            energy += run.run.energy_joules();
+            let now = run.run.now();
             shared.deregister_tenant(now, run.tid);
         }
         let mut all = shared.counters();
@@ -387,9 +387,9 @@ impl ServeSim {
 
     /// One bystander kernel slot (the scheduler's quota loop).
     fn bystander_slot(run: &mut TenantRun, shared: &mut UmDriver) {
-        let (tid, now) = (run.tid, run.now());
+        let (tid, now) = (run.tid, run.run.now());
         let debt = open_slot(shared, &mut run.driver, tid, now);
-        run.advance_clock(debt);
+        run.run.advance_clock(debt);
         let quota = u64::from(run.spec.priority);
         let mut kernels = 0u64;
         let mut units = 0u64;
@@ -407,7 +407,7 @@ impl ServeSim {
                 StepOutcome::Done | StepOutcome::Failed => break,
             }
         }
-        let now = run.now();
+        let now = run.run.now();
         close_slot(shared, &mut run.driver, now);
     }
 }
