@@ -189,7 +189,9 @@ const RESULT_PATTERNS: &[&str] = &["let _ =", "let _=", ".ok()", ".unwrap_or_def
 /// loops the ROADMAP's flat-table rewrite targets, plus the wear extent
 /// map and the checkpoint ring — retirement sampling consults the wear
 /// map on every fault drain, and the ring's store runs inside the
-/// checkpoint cadence. The committed baseline
+/// checkpoint cadence — and DeepUM's prefetching thread (the driver's
+/// drain and pump, the chain walk, the footprint map), which runs on
+/// every fault drain and every compute slice. The committed baseline
 /// (`ci/tidy-baseline.json`) grandfathers today's counts; the lint is
 /// the scoreboard that only lets them fall.
 const HOT_PATH_FILES: &[&str] = &[
@@ -199,6 +201,9 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/um/src/wear.rs",
     "crates/gpu/src/engine.rs",
     "crates/core/src/ckpt.rs",
+    "crates/core/src/driver.rs",
+    "crates/core/src/chain.rs",
+    "crates/core/src/footprint.rs",
 ];
 
 /// Allocation patterns for `hot-path-alloc`. `.collect` (no parens)

@@ -14,9 +14,9 @@
 //! prefetching thread resumes after the currently executing kernel
 //! finishes."
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use deepum_mem::BlockNum;
+use deepum_mem::{BlockNum, DenseBlockSet};
 use deepum_runtime::exec_table::ExecId;
 use deepum_um::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -46,6 +46,11 @@ pub enum ChainStep {
 }
 
 /// State of one chaining walk, (re)started at every page-fault batch.
+///
+/// The driver keeps one walk for the whole run and
+/// [`ChainWalk::restart`]s it in place at each fault drain, so the
+/// queues and the visited set keep their storage: a restart costs what
+/// the previous walk visited, not an allocation.
 #[derive(Debug, Clone)]
 pub struct ChainWalk {
     exec: ExecId,
@@ -60,7 +65,33 @@ pub struct ChainWalk {
     emit_q: VecDeque<BlockNum>,
     /// Blocks whose successors have not been expanded yet.
     frontier: VecDeque<BlockNum>,
-    visited: BTreeSet<BlockNum>,
+    visited: Visited,
+}
+
+/// The walk's visited set: a dense bitset for O(1) membership plus the
+/// list of inserted blocks, so clearing touches only what was set.
+#[derive(Debug, Clone, Default)]
+struct Visited {
+    set: DenseBlockSet,
+    inserted: Vec<BlockNum>,
+}
+
+impl Visited {
+    /// Inserts `block`; true if it was not already visited.
+    fn insert(&mut self, block: BlockNum) -> bool {
+        let fresh = self.set.insert(block);
+        if fresh {
+            self.inserted.push(block);
+        }
+        fresh
+    }
+
+    fn clear(&mut self) {
+        for &block in &self.inserted {
+            self.set.remove(block);
+        }
+        self.inserted.clear();
+    }
 }
 
 impl ChainWalk {
@@ -68,9 +99,7 @@ impl ChainWalk {
     /// the kernel with execution ID `exec`; `history` is the three
     /// kernels that ran before `exec` (oldest first).
     pub fn new(exec: ExecId, history: [ExecId; 3], fault_block: BlockNum) -> Self {
-        let mut visited = BTreeSet::new();
-        visited.insert(fault_block);
-        ChainWalk {
+        let mut walk = ChainWalk {
             exec,
             history,
             origin: fault_block,
@@ -81,8 +110,28 @@ impl ChainWalk {
             kernels_ahead: 0,
             emit_q: VecDeque::new(),
             frontier: VecDeque::new(),
-            visited,
-        }
+            visited: Visited::default(),
+        };
+        walk.visited.insert(fault_block);
+        walk
+    }
+
+    /// Restarts this walk in place: afterwards it is indistinguishable
+    /// from `ChainWalk::new(exec, history, fault_block)` (same steps,
+    /// same checkpoint bytes) but reuses the queue and visited storage.
+    pub fn restart(&mut self, exec: ExecId, history: [ExecId; 3], fault_block: BlockNum) {
+        self.exec = exec;
+        self.history = history;
+        self.origin = fault_block;
+        self.seeded = false;
+        self.pending_transition = false;
+        self.paused = false;
+        self.ended = false;
+        self.kernels_ahead = 0;
+        self.emit_q.clear();
+        self.frontier.clear();
+        self.visited.clear();
+        self.visited.insert(fault_block);
     }
 
     /// How many kernel transitions the walk has made beyond the currently
@@ -203,8 +252,9 @@ impl ChainWalk {
                 w.block(b);
             }
         }
-        w.u64(deepum_mem::u64_from_usize(self.visited.len()));
-        for &b in &self.visited {
+        // Ascending, whatever the visiting order.
+        w.u64(deepum_mem::u64_from_usize(self.visited.set.len()));
+        for b in self.visited.set.iter() {
             w.block(b);
         }
     }
@@ -231,7 +281,7 @@ impl ChainWalk {
         for _ in 0..r.len_prefix(8)? {
             frontier.push_back(r.block()?);
         }
-        let mut visited = BTreeSet::new();
+        let mut visited = Visited::default();
         for _ in 0..r.len_prefix(8)? {
             visited.insert(r.block()?);
         }
@@ -313,7 +363,7 @@ mod tests {
 
     /// Builds the Fig. 7 tables: exec 0 over blocks a..q, exec 1 starting
     /// at k.
-    fn fig7() -> (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable) {
+    pub(super) fn fig7() -> (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable) {
         let (a, bb, c, d, ee, p, q) = (1, 2, 3, 4, 5, 16, 17);
         let mut t0 = BlockCorrelationTable::new(64, 2, 4);
         t0.record_pair(b(a), b(bb));
@@ -479,7 +529,7 @@ mod more_tests {
 
     /// A two-kernel ring: exec 0 walks blocks 0->1->2, exec 1 walks
     /// 10->11, and each predicts the other.
-    fn ring() -> (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable) {
+    pub(super) fn ring() -> (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable) {
         let mut t0 = BlockCorrelationTable::new(64, 2, 4);
         t0.record_pair(b(0), b(1));
         t0.record_pair(b(1), b(2));
@@ -559,5 +609,221 @@ mod more_tests {
             }
         }
         assert_eq!(emitted, vec![1, 2]);
+    }
+}
+
+#[cfg(test)]
+mod restart_tests {
+    use proptest::prelude::*;
+
+    use super::more_tests::ring;
+    use super::tests::fig7;
+    use super::*;
+
+    fn b(i: u64) -> BlockNum {
+        BlockNum::new(i)
+    }
+    const fn e(i: u32) -> ExecId {
+        ExecId(i)
+    }
+
+    type Tables = (Vec<Option<BlockCorrelationTable>>, ExecCorrelationTable);
+
+    fn encoded(walk: &ChainWalk) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        walk.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// What a walk does from here: its encoded bytes now and after
+    /// every step, and the steps, sliding the window at each pause (up
+    /// to `slides` times) and stopping at the end or after `max_steps`.
+    fn script(
+        walk: &mut ChainWalk,
+        (tables, exec): &Tables,
+        max_ahead: usize,
+        slides: usize,
+        max_steps: usize,
+    ) -> (Vec<ChainStep>, Vec<Vec<u8>>) {
+        let mut out = (Vec::new(), vec![encoded(walk)]);
+        let mut slides_left = slides;
+        for _ in 0..max_steps {
+            let step = walk.step(tables, exec, max_ahead);
+            out.0.push(step);
+            out.1.push(encoded(walk));
+            match step {
+                ChainStep::Ended => break,
+                ChainStep::Paused if slides_left == 0 => break,
+                ChainStep::Paused => {
+                    slides_left -= 1;
+                    walk.on_kernel_advanced();
+                }
+                ChainStep::Emit(_) | ChainStep::Transition { .. } => {}
+            }
+        }
+        out
+    }
+
+    /// Steps `walk` `pre` times (sliding the window at every pause), so
+    /// it is left running, paused or ended.
+    fn advance(walk: &mut ChainWalk, (tables, exec): &Tables, max_ahead: usize, pre: usize) {
+        for _ in 0..pre {
+            if walk.step(tables, exec, max_ahead) == ChainStep::Paused && pre.is_multiple_of(2) {
+                walk.on_kernel_advanced();
+            }
+        }
+    }
+
+    /// A restarted walk replays exactly what a fresh one does.
+    fn check_restart(
+        tables: &Tables,
+        first: (ExecId, [ExecId; 3], BlockNum),
+        pre: usize,
+        second: (ExecId, [ExecId; 3], BlockNum),
+        max_ahead: usize,
+    ) {
+        let mut walk = ChainWalk::new(first.0, first.1, first.2);
+        advance(&mut walk, tables, max_ahead, pre);
+        walk.restart(second.0, second.1, second.2);
+        let mut fresh = ChainWalk::new(second.0, second.1, second.2);
+        let restarted = script(&mut walk, tables, max_ahead, 3, 400);
+        let expected = script(&mut fresh, tables, max_ahead, 3, 400);
+        assert_eq!(restarted, expected, "pre = {pre}, first = {first:?}");
+    }
+
+    #[test]
+    fn restart_matches_new_on_fig7_from_every_point() {
+        let tables = fig7();
+        let ctx = [e(10), e(11), e(12)];
+        for max_ahead in [0, 1, 8] {
+            for pre in 0..24 {
+                for origin in [2, 17, 11] {
+                    check_restart(
+                        &tables,
+                        (e(0), ctx, b(origin)),
+                        pre,
+                        (e(0), ctx, b(2)),
+                        max_ahead,
+                    );
+                    check_restart(
+                        &tables,
+                        (e(0), ctx, b(2)),
+                        pre,
+                        (e(1), [e(1), e(2), e(3)], b(origin)),
+                        max_ahead,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restart_matches_new_on_the_ring_from_every_point() {
+        let tables = ring();
+        for max_ahead in [0, 2, 6] {
+            for pre in 0..40 {
+                check_restart(
+                    &tables,
+                    (e(0), [e(1), e(0), e(1)], b(0)),
+                    pre,
+                    (e(1), [e(0), e(1), e(0)], b(10)),
+                    max_ahead,
+                );
+                check_restart(
+                    &tables,
+                    (e(1), [e(0), e(1), e(0)], b(11)),
+                    pre,
+                    (e(0), [e(1), e(0), e(1)], b(0)),
+                    max_ahead,
+                );
+            }
+        }
+    }
+
+    /// The checkpoint lists visited blocks ascending, whatever order the
+    /// walk met them in (the order a `BTreeSet` gave, which the
+    /// snapshot bytes were defined by).
+    #[test]
+    fn visited_blocks_encode_ascending() {
+        let (tables, exec) = fig7();
+        let mut walk = ChainWalk::new(e(0), [e(10), e(11), e(12)], b(2));
+        // Fault on b: the walk meets q (17) before e (5).
+        for _ in 0..2 {
+            walk.step(&tables, &exec, 8);
+        }
+        assert_eq!(walk.visited.inserted, vec![b(2), b(17), b(5)]);
+        let bytes = encoded(&walk);
+        let mut r = SnapshotReader::new(&bytes).expect("valid envelope");
+        let back = ChainWalk::decode_from(&mut r).expect("decodes");
+        assert_eq!(back.visited.inserted, vec![b(2), b(5), b(17)]);
+        // The tail of the payload is the visited list: count, then the
+        // blocks ascending (the trailer is the 8-byte checksum).
+        let mut tail = SnapshotWriter::new();
+        tail.u64(3);
+        for i in [2, 5, 17] {
+            tail.block(b(i));
+        }
+        let len = tail.payload_len();
+        let tail = tail.finish();
+        let payload_tail = |bytes: &[u8]| bytes[bytes.len() - 8 - len..bytes.len() - 8].to_vec();
+        assert_eq!(payload_tail(&bytes), payload_tail(&tail));
+    }
+
+    /// Random block tables over three kernels: pairs, start and end
+    /// anchors, and execution-ID successions.
+    fn random_tables(
+        pairs: &[(u8, u64, u64)],
+        anchors: &[(u8, u64, u64)],
+        succession: &[(u8, u8)],
+    ) -> Tables {
+        let mut tables: Vec<Option<BlockCorrelationTable>> = (0..3)
+            .map(|_| Some(BlockCorrelationTable::new(16, 2, 3)))
+            .collect();
+        for &(x, prev, succ) in pairs {
+            if let Some(t) = tables[usize::from(x)].as_mut() {
+                t.record_pair(b(prev), b(succ));
+            }
+        }
+        for &(x, start, end) in anchors {
+            if let Some(t) = tables[usize::from(x)].as_mut() {
+                t.set_start(b(start));
+                t.set_end(b(end));
+            }
+        }
+        let mut exec = ExecCorrelationTable::new();
+        let mut history = [e(0), e(1), e(2)];
+        for &(cur, next) in succession {
+            let (cur, next) = (e(u32::from(cur)), e(u32::from(next)));
+            exec.record(cur, history, next);
+            history = [history[1], history[2], cur];
+        }
+        (tables, exec)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// On random tables, a walk restarted after any number of steps
+        /// gives the same steps and the same bytes as a fresh walk.
+        #[test]
+        fn restart_matches_new_on_random_tables(
+            pairs in prop::collection::vec((0u8..3, 0u64..12, 0u64..12), 0..40),
+            anchors in prop::collection::vec((0u8..3, 0u64..12, 0u64..12), 0..4),
+            succession in prop::collection::vec((0u8..3, 0u8..3), 0..24),
+            pre in 0usize..80,
+            first in (0u32..3, 0u64..12),
+            second in (0u32..3, 0u64..12, 0u32..3),
+            max_ahead in 0usize..5,
+        ) {
+            let tables = random_tables(&pairs, &anchors, &succession);
+            let ctx = [e(second.2), e(1), e(2)];
+            check_restart(
+                &tables,
+                (e(first.0), [e(0), e(1), e(2)], b(first.1)),
+                pre,
+                (e(second.0), ctx, b(second.1)),
+                max_ahead,
+            );
+        }
     }
 }

@@ -102,6 +102,9 @@ pub struct DeepumDriver {
     /// Reused per-drain fault-group buffer (block, pages); contents are
     /// meaningless between drains, only the capacity persists.
     pub(crate) fault_groups: Vec<(BlockNum, PageMask)>,
+    /// Reused per-drain (block, recorded predecessor) buffer for the
+    /// correlator's pair records; same lifetime rule as `fault_groups`.
+    pub(crate) fault_pairs: Vec<(BlockNum, Option<BlockNum>)>,
     pub(crate) protected: SharedBlockSet,
     pub(crate) predicted_window: VecDeque<(u64, BlockNum)>,
     pub(crate) kernel_seq: u64,
@@ -157,6 +160,7 @@ impl DeepumDriver {
     /// Creates a DeepUM driver over a fresh UM driver for the platform
     /// described by `costs`.
     pub fn new(costs: CostModel, cfg: DeepumConfig) -> Self {
+        // deepum-tidy: allow(hot-path-alloc) -- cost-model copy, once per driver construction
         let mut um = UmDriver::new(costs.clone());
         if cfg.enable_pressure_governor {
             um.install_pressure_governor(PressureConfig {
@@ -184,6 +188,7 @@ impl DeepumDriver {
             cfg,
             costs,
             exec_corr: ExecCorrelationTable::new(),
+            // deepum-tidy: allow(hot-path-alloc) -- empty table list, once per driver construction
             block_tables: Vec::new(),
             footprints: FootprintMap::new(),
             current_exec: None,
@@ -195,7 +200,10 @@ impl DeepumDriver {
             chain: None,
             prefetch_q,
             enqueued: DenseBlockSet::new(),
+            // deepum-tidy: allow(hot-path-alloc) -- empty buffer built once per driver, reused by every drain
             fault_groups: Vec::new(),
+            // deepum-tidy: allow(hot-path-alloc) -- empty buffer built once per driver, reused by every drain
+            fault_pairs: Vec::new(),
             protected,
             predicted_window: VecDeque::new(),
             kernel_seq: 0,
@@ -241,6 +249,7 @@ impl DeepumDriver {
     /// set as the tenant's ledger set, so predictions made here steer
     /// victim selection in the shared driver during the tenant's slot.
     pub fn protected_set(&self) -> SharedBlockSet {
+        // deepum-tidy: allow(hot-path-alloc) -- Arc refcount bump, once per tenant registration
         self.protected.clone()
     }
 
@@ -424,6 +433,10 @@ impl DeepumDriver {
         let Some(chain) = self.chain.as_mut() else {
             return;
         };
+        // One write lock for the whole pump: nothing below reads the
+        // protected set, and a lock per emitted block dominated the
+        // prefetching thread's profile.
+        let mut protected = self.protected.inserter();
         let mut steps = 0;
         while !self.prefetch_q.is_full() && steps < Self::PUMP_STEP_BUDGET {
             steps += 1;
@@ -450,7 +463,7 @@ impl DeepumDriver {
                         self.window_dropped += 1;
                     }
                     self.predicted_window.push_back((expires, cmd.block));
-                    self.protected.insert(cmd.block);
+                    protected.insert(cmd.block);
                     if self.enqueued.contains(cmd.block) {
                         continue;
                     }
@@ -574,6 +587,7 @@ impl DeepumDriver {
             watchdog_transitions: self
                 .watchdog
                 .as_ref()
+                // deepum-tidy: allow(hot-path-alloc) -- report material, built once per run report
                 .map_or_else(Vec::new, |w| w.transitions().to_vec()),
             predicted_window_dropped: self.window_dropped,
         }
@@ -767,7 +781,7 @@ impl UmBackend for DeepumDriver {
             // First pass: footprints and injected pair-drop rolls. The
             // table borrow below locks `self`, so every decision that
             // needs other fields is made up front.
-            let mut pairs: Vec<(BlockNum, Option<BlockNum>)> = Vec::with_capacity(groups.len());
+            let mut pairs = std::mem::take(&mut self.fault_pairs);
             for (block, mask) in &groups {
                 self.footprints.record(*block, mask);
                 let recorded = match self.prev_fault_block {
@@ -811,11 +825,17 @@ impl UmBackend for DeepumDriver {
                 }
             }
             self.local.block_table_updates += recorded_pairs;
+            pairs.clear();
+            self.fault_pairs = pairs;
 
-            // Prefetching thread: chaining restarts at every new fault.
+            // Prefetching thread: chaining restarts at every new fault,
+            // in place when a walk exists.
             if self.prefetch_active() {
                 if let Some(&(block, _)) = groups.last() {
-                    self.chain = Some(ChainWalk::new(cur, self.history, block));
+                    match self.chain.as_mut() {
+                        Some(chain) => chain.restart(cur, self.history, block),
+                        None => self.chain = Some(ChainWalk::new(cur, self.history, block)),
+                    }
                     self.local.chain_walks += 1;
                     self.pump_chain();
                 }
@@ -886,11 +906,13 @@ impl UmBackend for DeepumDriver {
     }
 
     fn install_injector(&mut self, injector: SharedInjector) {
+        // deepum-tidy: allow(hot-path-alloc) -- Rc refcount bump, once per run setup
         self.um.install_injector(injector.clone());
         self.injector = Some(injector);
     }
 
     fn install_tracer(&mut self, tracer: SharedTracer) {
+        // deepum-tidy: allow(hot-path-alloc) -- Rc refcount bump, once per run setup
         self.um.set_tracer(tracer.clone());
         self.tracer = Some(tracer);
     }

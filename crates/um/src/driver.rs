@@ -14,6 +14,8 @@
 //! * [`UmDriver::mark_invalidatable`] — pages of inactive PT blocks that
 //!   may be dropped without write-back (Section 5.2).
 
+use std::ops::Bound;
+
 use deepum_gpu::engine::{BackendError, PressureStats};
 use deepum_gpu::fault::{AccessKind, FaultEntry};
 use deepum_mem::{u64_from_usize, BlockNum, ByteRange, PageMask, TenantId, PAGE_BYTES};
@@ -117,6 +119,11 @@ pub struct UmDriver {
     /// default) means the wear machinery is absence-of-code: capacity
     /// never shrinks and no wear section is written to snapshots.
     pub(crate) wear: DeviceWear,
+    /// Test hook: drop the LRU's protected-prefix cursor before every
+    /// eviction scan, so a test can run the cursor-free scan as an
+    /// oracle beside the real one.
+    #[cfg(test)]
+    pub(crate) no_prefix_cursor: bool,
 }
 
 impl UmDriver {
@@ -140,6 +147,8 @@ impl UmDriver {
             tenancy: None,
             hints: HintTable::new(),
             wear: DeviceWear::new(capacity_pages),
+            #[cfg(test)]
+            no_prefix_cursor: false,
         }
     }
 
@@ -936,9 +945,36 @@ impl UmDriver {
         // ReadMostly-duplicated blocks scan last: a hot weight is never
         // the victim while a cooler non-duplicated one exists (plain
         // LRU order when no hints are set).
-        for (key, block) in victim_scan(&self.lru, &self.hints) {
+        //
+        // The pass starts past the LRU's protected prefix, whose
+        // entries it would skip without side effect, and extends that
+        // prefix over the protected entries it meets before the first
+        // unprotected one. The cursor is kept for plain scans only.
+        #[cfg(test)]
+        if self.no_prefix_cursor {
+            self.lru.drop_prefix();
+        }
+        let epoch = self.protected.shrink_epoch();
+        let plain = self.hints.no_read_mostly();
+        if !plain {
+            self.lru.drop_prefix();
+        }
+        let start = self
+            .lru
+            .protected_prefix(&self.protected, epoch)
+            .map_or(Bound::Unbounded, Bound::Excluded);
+        let mut prefix_open = plain;
+        let mut prefix_last = None;
+        for (key, block) in victim_scan(&self.lru, &self.hints, start) {
             if freed >= needed {
                 break;
+            }
+            if prefix_open {
+                if protected.contains(block) {
+                    prefix_last = Some((key, block));
+                } else {
+                    prefix_open = false;
+                }
             }
             if Some(block) == exclude || victims.iter().any(|&(_, b, _)| b == block) {
                 continue;
@@ -996,6 +1032,9 @@ impl UmDriver {
         // Release the protected-set read lock before the mutation
         // phase: evicting a victim may update the set.
         drop(protected);
+        if let Some(last) = prefix_last {
+            self.lru.extend_prefix(&self.protected, epoch, last);
+        }
 
         if !cooldown_skips.is_empty() {
             if let Some(g) = self.pressure.as_mut() {
@@ -1202,7 +1241,7 @@ impl UmDriver {
         // deepum-tidy: allow(hot-path-alloc) -- once per eviction batch, not per page; the scan re-reads the list across passes
         let lru_order: Vec<(Ns, BlockNum)> = self.lru.iter().collect();
         // deepum-tidy: allow(hot-path-alloc) -- materialized once per eviction batch; the charge scan re-reads it per tenant per pass
-        let scan1_order: Vec<(Ns, BlockNum)> = victim_scan(&self.lru, &self.hints).collect();
+        let scan1_order: Vec<_> = victim_scan(&self.lru, &self.hints, Bound::Unbounded).collect();
         {
             let Some(t) = self.tenancy.as_ref() else {
                 return Ok(EvictCost::default());

@@ -8,7 +8,9 @@
 //! it as a shared *protected set* of blocks consulted at victim-selection
 //! time.
 
-use std::sync::{Arc, PoisonError, RwLock};
+use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
 
 use deepum_mem::{BlockNum, DenseBlockSet};
 use deepum_sim::time::Ns;
@@ -25,6 +27,13 @@ use crate::pressure::PressureGovernor;
 /// poisoned lock is recovered by taking the inner set: every mutation
 /// below leaves the set valid, so a panic mid-write cannot corrupt it.
 ///
+/// The set also keeps a *shrink epoch*: every call that may drop a
+/// member ([`SharedBlockSet::remove`], [`SharedBlockSet::replace`],
+/// [`SharedBlockSet::clear`]) bumps it, and inserts never do. A reader
+/// that saw the epoch unchanged knows every block it saw in the set is
+/// still there — the eviction scan's protected-prefix cursor rests on
+/// exactly that.
+///
 /// # Example
 ///
 /// ```
@@ -34,12 +43,21 @@ use crate::pressure::PressureGovernor;
 /// let set = SharedBlockSet::new();
 /// set.insert(BlockNum::new(3));
 /// assert!(set.contains(BlockNum::new(3)));
+/// let epoch = set.shrink_epoch();
 /// set.clear();
 /// assert!(!set.contains(BlockNum::new(3)));
+/// assert!(set.shrink_epoch() > epoch);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct SharedBlockSet {
-    inner: Arc<RwLock<DenseBlockSet>>,
+    inner: Arc<SharedInner>,
+}
+
+#[derive(Debug, Default)]
+struct SharedInner {
+    set: RwLock<DenseBlockSet>,
+    /// Bumped under the write lock by every call that may drop a member.
+    shrink_epoch: AtomicU64,
 }
 
 impl SharedBlockSet {
@@ -48,25 +66,45 @@ impl SharedBlockSet {
         Self::default()
     }
 
-    /// Adds a block to the set.
-    pub fn insert(&self, block: BlockNum) {
+    fn write(&self) -> RwLockWriteGuard<'_, DenseBlockSet> {
         self.inner
+            .set
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(block);
+    }
+
+    /// Bumps the shrink epoch; called with the write lock held.
+    fn shrunk(&self) {
+        self.inner.shrink_epoch.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds a block to the set.
+    pub fn insert(&self, block: BlockNum) {
+        self.write().insert(block);
+    }
+
+    /// One write lock for a run of inserts. The prefetching thread
+    /// protects every block it predicts, tens of millions of times per
+    /// run; a lock per insert dominated its profile. The guard can only
+    /// add members, so it leaves the shrink epoch alone.
+    pub fn inserter(&self) -> SetInserter<'_> {
+        SetInserter { set: self.write() }
     }
 
     /// Removes a block from the set.
     pub fn remove(&self, block: BlockNum) {
-        self.inner
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(block);
+        let mut guard = self.write();
+        if guard.remove(block) {
+            self.shrunk();
+        }
     }
 
     /// Replaces the whole set in one write, reusing the bit storage.
     pub fn replace<I: IntoIterator<Item = BlockNum>>(&self, blocks: I) {
-        let mut guard = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.write();
+        if !guard.is_empty() {
+            self.shrunk();
+        }
         guard.clear();
         for block in blocks {
             guard.insert(block);
@@ -75,18 +113,16 @@ impl SharedBlockSet {
 
     /// Empties the set.
     pub fn clear(&self) {
-        self.inner
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        let mut guard = self.write();
+        if !guard.is_empty() {
+            self.shrunk();
+        }
+        guard.clear();
     }
 
     /// True if `block` is protected from eviction.
     pub fn contains(&self, block: BlockNum) -> bool {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(block)
+        self.read().contains(block)
     }
 
     /// One read-lock for a whole scan. The eviction scan checks
@@ -95,15 +131,26 @@ impl SharedBlockSet {
     /// dominated the suite profile, so scans borrow the underlying set
     /// once and probe it directly.
     pub fn read(&self) -> impl std::ops::Deref<Target = DenseBlockSet> + '_ {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+        self.inner
+            .set
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The shrink epoch: how many calls so far may have dropped a
+    /// member. Stable while a [`SharedBlockSet::read`] guard is held.
+    pub fn shrink_epoch(&self) -> u64 {
+        self.inner.shrink_epoch.load(Ordering::Relaxed)
+    }
+
+    /// True if `self` and `other` are handles to the same set.
+    pub(crate) fn same_set(&self, other: &SharedBlockSet) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Number of protected blocks.
     pub fn len(&self) -> usize {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.read().len()
     }
 
     /// True if nothing is protected.
@@ -115,10 +162,21 @@ impl SharedBlockSet {
     /// checkpoint codec; the set is restored via
     /// [`SharedBlockSet::replace`].
     pub fn to_vec(&self) -> Vec<BlockNum> {
-        self.inner
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .to_vec()
+        self.read().to_vec()
+    }
+}
+
+/// Write guard from [`SharedBlockSet::inserter`]: inserts only.
+#[derive(Debug)]
+pub struct SetInserter<'a> {
+    set: RwLockWriteGuard<'a, DenseBlockSet>,
+}
+
+impl SetInserter<'_> {
+    /// Adds a block to the set.
+    #[inline]
+    pub fn insert(&mut self, block: BlockNum) {
+        self.set.insert(block);
     }
 }
 
@@ -127,9 +185,30 @@ impl SharedBlockSet {
 /// A `BTreeSet<(Ns, BlockNum)>` would also work; this type wraps it so
 /// re-keying on migration is a single call and the invariant (key matches
 /// the block's `last_migrated`) has one owner.
+///
+/// It also owns the eviction scan's *protected-prefix cursor*: the
+/// claim "every entry up to this key is in that protected set". In a
+/// cyclic oversubscribed workload the LRU head is exactly the set of
+/// blocks predicted next, so without the cursor every first-pass scan
+/// re-probes the same protected prefix (about 1,300 entries per
+/// pre-eviction on GPT-2 XL). The claim breaks only when the set loses
+/// a member (its shrink epoch moves), when the driver swaps in another
+/// set (the cursor holds the handle it was built against), or when an
+/// entry is inserted at or below the cursor, which drops it here.
+/// Removals never break it.
 #[derive(Debug, Default, Clone)]
 pub struct LruMigrated {
     order: std::collections::BTreeSet<(Ns, BlockNum)>,
+    prefix: Option<ProtectedPrefix>,
+}
+
+/// See [`LruMigrated`]: every entry `<= last` is in `set`, for as long
+/// as `set`'s shrink epoch is still `epoch`.
+#[derive(Debug, Clone)]
+struct ProtectedPrefix {
+    set: SharedBlockSet,
+    epoch: u64,
+    last: (Ns, BlockNum),
 }
 
 impl LruMigrated {
@@ -143,6 +222,9 @@ impl LruMigrated {
         if let Some(prev) = previous {
             self.order.remove(&(prev, block));
         }
+        if self.prefix.as_ref().is_some_and(|p| (at, block) <= p.last) {
+            self.prefix = None;
+        }
         self.order.insert((at, block));
     }
 
@@ -154,6 +236,46 @@ impl LruMigrated {
     /// Blocks in least-recently-migrated-first order.
     pub fn iter(&self) -> impl Iterator<Item = (Ns, BlockNum)> + '_ {
         self.order.iter().copied()
+    }
+
+    /// Blocks in least-recently-migrated-first order, from `start` on.
+    pub(crate) fn iter_from(
+        &self,
+        start: Bound<(Ns, BlockNum)>,
+    ) -> impl Iterator<Item = (Ns, BlockNum)> + '_ {
+        self.order.range((start, Bound::Unbounded)).copied()
+    }
+
+    /// The last entry of the protected prefix, if the cursor was built
+    /// against this very `set` at its current shrink `epoch`: every
+    /// entry up to it is in `set`. `None` when there is no valid cursor.
+    pub(crate) fn protected_prefix(
+        &self,
+        set: &SharedBlockSet,
+        epoch: u64,
+    ) -> Option<(Ns, BlockNum)> {
+        self.prefix
+            .as_ref()
+            .filter(|p| p.epoch == epoch && p.set.same_set(set))
+            .map(|p| p.last)
+    }
+
+    /// Records that every entry up to `last` is in `set` at shrink
+    /// `epoch`. `last` must be an entry the caller reached by a scan
+    /// that started past [`LruMigrated::protected_prefix`] (or at the
+    /// head) and met only members of `set`.
+    pub(crate) fn extend_prefix(&mut self, set: &SharedBlockSet, epoch: u64, last: (Ns, BlockNum)) {
+        self.prefix = Some(ProtectedPrefix {
+            // deepum-tidy: allow(hot-path-alloc) -- Arc refcount bump, at most once per eviction call; holding the handle keys the cursor on the set's identity
+            set: set.clone(),
+            epoch,
+            last,
+        });
+    }
+
+    /// Forgets the protected-prefix cursor.
+    pub(crate) fn drop_prefix(&mut self) {
+        self.prefix = None;
     }
 
     /// Number of tracked blocks.
@@ -249,20 +371,24 @@ impl VictimPolicy<'_> {
 /// Yielded lazily: the eviction scan usually stops after a handful of
 /// victims, so materializing the whole order (the old `Vec` form) paid
 /// an O(resident-blocks) allocation and copy per eviction call for a
-/// prefix that is almost never consumed. The chain below visits the
-/// exact same sequence — when `no_read_mostly()` the first filter
-/// passes everything and the second passes nothing, which only walks
-/// the LRU a second time in the rare scan-exhausted case.
+/// prefix that is almost never consumed. When `no_read_mostly()` the
+/// first half passes everything and the second half is empty.
+///
+/// Both halves begin at `start`: entries before it are ones the caller
+/// would skip anyway (the protected prefix of [`LruMigrated`]), so the
+/// visited sequence is the same as a scan from the head minus those.
 pub fn victim_scan<'a>(
     lru: &'a LruMigrated,
     hints: &'a HintTable,
+    start: Bound<(Ns, BlockNum)>,
 ) -> impl Iterator<Item = (Ns, BlockNum)> + 'a {
     let plain = hints.no_read_mostly();
-    lru.iter()
+    lru.iter_from(start)
         .filter(move |e| plain || !hints.is_read_mostly(e.1))
         .chain(
-            lru.iter()
-                .filter(move |e| !plain && hints.is_read_mostly(e.1)),
+            lru.iter_from(start)
+                .take(if plain { 0 } else { usize::MAX })
+                .filter(move |e| hints.is_read_mostly(e.1)),
         )
 }
 
@@ -397,7 +523,7 @@ mod tests {
         }
         // No hints: the scan is exactly the LRU order.
         let plain = HintTable::new();
-        let scanned: Vec<_> = victim_scan(&lru, &plain).collect();
+        let scanned: Vec<_> = victim_scan(&lru, &plain, Bound::Unbounded).collect();
         assert_eq!(scanned, lru.iter().collect::<Vec<_>>());
         // ReadMostly blocks partition to the back, each half LRU-ordered.
         let mut hints = HintTable::new();
@@ -407,7 +533,7 @@ mod tests {
         let mut eager: Vec<(Ns, BlockNum)> = Vec::new();
         eager.extend(lru.iter().filter(|e| !hints.is_read_mostly(e.1)));
         eager.extend(lru.iter().filter(|e| hints.is_read_mostly(e.1)));
-        let lazy: Vec<_> = victim_scan(&lru, &hints).collect();
+        let lazy: Vec<_> = victim_scan(&lru, &hints, Bound::Unbounded).collect();
         assert_eq!(lazy, eager);
         assert_eq!(lazy.len(), lru.len());
     }

@@ -118,6 +118,23 @@ pub(crate) fn validate(d: &UmDriver) -> Result<(), String> {
             }
         }
     }
+    // Protected-prefix invariant: while the LRU's cursor is valid for
+    // the driver's protected set, every entry up to it is protected —
+    // the eviction scan starts past it on that claim alone.
+    if let Some(last) = d
+        .lru
+        .protected_prefix(&d.protected, d.protected.shrink_epoch())
+    {
+        let protected = d.protected.read();
+        for (key, block) in d.lru.iter().take_while(|&e| e <= last) {
+            if !protected.contains(block) {
+                return Err(format!(
+                    "{block} (LRU key {key:?}) lies inside the protected-prefix \
+                     cursor but is not protected"
+                ));
+            }
+        }
+    }
     // Pressure-governor invariant: the first-pass demand-eviction
     // candidate list must be disjoint from the victim-cooldown set —
     // a cooling block that still reaches the candidate list means

@@ -24,6 +24,8 @@
 #![forbid(unsafe_code)]
 
 pub mod block;
+#[cfg(test)]
+mod cursor_oracle;
 pub mod driver;
 pub mod evict;
 pub mod hints;

@@ -893,6 +893,9 @@ fn read_tenant_scoped_state(
     let _resident_at_snapshot = r.u64()?;
     let counters = read_counters(r)?;
     let num_blocks = r.len_prefix(block_record_bytes(r.version()))?;
+    // Removals alone keep the eviction scan's protected-prefix claim,
+    // but a restore is rare enough that rebuilding the cursor is free.
+    d.lru.drop_prefix();
     let mut snap_blocks = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         snap_blocks.push(read_block_record(r)?);

@@ -1,10 +1,13 @@
-//! Flat, dense-id block-state table.
+//! Flat, dense-id per-block table.
 //!
 //! The driver's per-block bookkeeping used to live in a
 //! `BTreeMap<BlockNum, BlockState>`; every fault, migration, and
 //! eviction paid a tree walk (and a node allocation per insert) on the
 //! hottest paths in the simulator. [`BlockTable`] replaces it with flat
-//! vectors keyed by **dense block ids**:
+//! vectors keyed by **dense block ids**. The storage, [`DenseBlockMap`],
+//! is generic over the per-block value, so DeepUM's learned footprints
+//! (`deepum_core::footprint::FootprintMap`, a `DenseBlockMap<PageMask>`)
+//! share it:
 //!
 //! * Block numbers are *almost* dense — within a tenant's VA stripe the
 //!   allocator bumps through a small range, but stripes sit 2^40 bytes
@@ -30,17 +33,17 @@ use crate::block::BlockState;
 /// Sentinel slot value: the block has never been touched.
 const VACANT: u32 = 0;
 
-/// Flat block-state storage with stable dense ids and ascending
-/// iteration. Drop-in replacement for the driver's former
-/// `BTreeMap<BlockNum, BlockState>`.
+/// The driver's block-state table.
+pub type BlockTable = DenseBlockMap<BlockState>;
+
+/// Flat per-block storage with stable dense ids and ascending
+/// iteration. Drop-in replacement for a `BTreeMap<BlockNum, S>`.
 #[derive(Debug, Default, Clone)]
-pub struct BlockTable {
+pub struct DenseBlockMap<S> {
     /// Per-stripe slot arrays (offset → dense id + 1), sorted by stripe.
     stripes: Vec<StripeSlots>,
     /// Dense id → block state (kept allocated across remove/re-insert).
-    states: Vec<BlockState>,
-    /// Dense id → block number (reverse mapping).
-    nums: Vec<BlockNum>,
+    states: Vec<S>,
     /// Dense id → currently present in the table.
     live: Vec<bool>,
     /// Number of live entries.
@@ -66,10 +69,10 @@ fn dense_index(slot: u32) -> Option<usize> {
     Some(usize::try_from(id).expect("dense id fits usize"))
 }
 
-impl BlockTable {
+impl<S: Default> DenseBlockMap<S> {
     /// An empty table.
     pub fn new() -> Self {
-        BlockTable::default()
+        DenseBlockMap::default()
     }
 
     #[inline]
@@ -113,7 +116,7 @@ impl BlockTable {
             Some(idx) => {
                 if !self.live[idx] {
                     self.live[idx] = true;
-                    self.states[idx] = BlockState::default();
+                    self.states[idx] = S::default();
                     self.len += 1;
                 }
                 idx
@@ -122,8 +125,7 @@ impl BlockTable {
                 let idx = self.states.len();
                 let id = u32::try_from(idx).expect("dense block ids fit u32");
                 slots[offset] = id + 1;
-                self.states.push(BlockState::default());
-                self.nums.push(block);
+                self.states.push(S::default());
                 self.live.push(true);
                 self.len += 1;
                 idx
@@ -133,14 +135,14 @@ impl BlockTable {
 
     /// The state of `block`, if present.
     #[inline]
-    pub fn get(&self, block: BlockNum) -> Option<&BlockState> {
+    pub fn get(&self, block: BlockNum) -> Option<&S> {
         let idx = dense_index(self.slot(block)?)?;
         self.live[idx].then(|| &self.states[idx])
     }
 
     /// Mutable state of `block`, if present.
     #[inline]
-    pub fn get_mut(&mut self, block: BlockNum) -> Option<&mut BlockState> {
+    pub fn get_mut(&mut self, block: BlockNum) -> Option<&mut S> {
         let idx = dense_index(self.slot(block)?)?;
         self.live[idx].then(|| &mut self.states[idx])
     }
@@ -154,14 +156,14 @@ impl BlockTable {
     /// Mutable state of `block`, inserting a default state if absent —
     /// the `entry(block).or_default()` of the old map.
     #[inline]
-    pub fn ensure(&mut self, block: BlockNum) -> &mut BlockState {
+    pub fn ensure(&mut self, block: BlockNum) -> &mut S {
         let idx = self.ensure_id(block);
         &mut self.states[idx]
     }
 
     /// Inserts `state` for `block`, returning the previous state if one
     /// was present.
-    pub fn insert(&mut self, block: BlockNum, state: BlockState) -> Option<BlockState> {
+    pub fn insert(&mut self, block: BlockNum, state: S) -> Option<S> {
         let was_live = self.contains_key(block);
         let idx = self.ensure_id(block);
         let prev = std::mem::replace(&mut self.states[idx], state);
@@ -170,7 +172,7 @@ impl BlockTable {
 
     /// Removes `block`, returning its state. The dense id and its
     /// storage stay reserved for the block's next appearance.
-    pub fn remove(&mut self, block: BlockNum) -> Option<BlockState> {
+    pub fn remove(&mut self, block: BlockNum) -> Option<S> {
         let idx = dense_index(self.slot(block)?)?;
         if !self.live[idx] {
             return None;
@@ -193,7 +195,7 @@ impl BlockTable {
     }
 
     /// Live entries in ascending [`BlockNum`] order.
-    pub fn iter(&self) -> impl Iterator<Item = (BlockNum, &BlockState)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (BlockNum, &S)> + '_ {
         self.stripes.iter().flat_map(move |stripe| {
             let base = stripe.id << STRIPE_BLOCK_SHIFT;
             stripe
@@ -213,10 +215,10 @@ impl BlockTable {
     }
 }
 
-impl std::ops::Index<&BlockNum> for BlockTable {
-    type Output = BlockState;
+impl<S: Default> std::ops::Index<&BlockNum> for DenseBlockMap<S> {
+    type Output = S;
 
-    fn index(&self, block: &BlockNum) -> &BlockState {
+    fn index(&self, block: &BlockNum) -> &S {
         self.get(*block)
             .unwrap_or_else(|| panic!("no state for {block}"))
     }
